@@ -139,10 +139,19 @@ func (app *App) runIdle() bool {
 
 // DoOneEvent processes one round of events. With wait=false it returns
 // immediately when nothing is pending. It reports whether any work was
-// done.
+// done. It flushes buffered requests at entry, so whatever the caller
+// issued is on the wire before the step runs or blocks.
 func (app *App) DoOneEvent(wait bool) bool {
 	app.Disp.Flush()
+	return app.doOneEvent(wait)
+}
 
+// doOneEvent is DoOneEvent without the entry flush: requests issued by
+// earlier steps stay buffered. Update uses it, with wait=false, so that
+// one round's output travels in the same wire segment as the next
+// round's Sync. Only DoOneEvent calls it with wait=true, after its
+// flush, so the step never blocks with requests buffered.
+func (app *App) doOneEvent(wait bool) bool {
 	// 1. Already-queued X events and posted work.
 	select {
 	case ev, ok := <-app.Disp.Events():
@@ -257,17 +266,23 @@ func (app *App) StartServing() (stop func()) {
 // waiting: the "update" Tcl command. Each round begins with a server sync
 // so that every event caused by our own earlier requests (including those
 // issued from idle handlers in the previous round) has arrived before we
-// decide we are done.
+// decide we are done. The steps inside a round do not flush: the
+// round's output (an idle redraw, say) stays buffered and rides to the
+// server in the same wire segment as the next round's Sync. Update never
+// returns with requests buffered: the last round did no work, so the
+// Sync before it carried everything, and the early return on Quitting
+// flushes explicitly.
 func (app *App) Update() {
 	for {
 		if err := app.Disp.Sync(); err != nil {
 			return
 		}
-		if !app.DoOneEvent(false) {
+		if !app.doOneEvent(false) {
 			return
 		}
-		for app.DoOneEvent(false) {
+		for app.doOneEvent(false) {
 			if app.Quitting() {
+				app.Disp.Flush()
 				return
 			}
 		}
