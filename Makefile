@@ -1,8 +1,9 @@
 # Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder fuzz
-# smoke, the observability smoke (docs/observability.md), the chaos
-# harness (docs/fault-injection.md), and the benchmark's own tests
-# (perfbench/README.md). All legs must pass before a change ships.
+# script in the tree (docs/static-analysis.md), the frame-decoder and
+# canvas-damage fuzz smoke, the observability smoke
+# (docs/observability.md), the chaos harness (docs/fault-injection.md),
+# and the benchmark's own tests (perfbench/README.md). All legs must
+# pass before a change ships.
 
 GO ?= go
 
@@ -24,12 +25,16 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment/delta codec) a bounded fuzzing pass on every check run;
-# longer campaigns just raise -fuzztime. Corpus seeds cover v1 and v2
-# frames in both directions (internal/xproto/fuzz_test.go).
+# v2 segment/delta codec) and the canvas's damage-region redisplay a
+# bounded fuzzing pass on every check run; longer campaigns just raise
+# -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
+# (internal/xproto/fuzz_test.go); FuzzCanvasDamage runs arbitrary item
+# command sequences and checks every partial redraw against a full one
+# (internal/widget/canvas_damage_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
+	$(GO) test -run '^$$' -fuzz '^FuzzCanvasDamage$$' -fuzztime 5s ./internal/widget
 
 bench: bench-farm
 	$(GO) test -bench=. -benchmem

@@ -20,6 +20,13 @@ import (
 // free-form tags, and individual items can have their own event bindings
 // — which is exactly the hook the paper's hypertext sketch needs
 // ("associating Tcl commands with pieces of text or graphics").
+//
+// Redisplay is damage-driven, as in X and Tk: each item command records
+// the old and new extent of the items it touches, and the idle redraw
+// repaints only those rectangles — background, then every item that can
+// touch them, in stacking order — in a scratch pixmap, and copies them
+// to the window. Full damage (first draw, Expose, resize,
+// reconfiguration) repaints the whole window directly.
 type Canvas struct {
 	base
 	items  []*canvasItem
@@ -27,6 +34,41 @@ type Canvas struct {
 	// itemBindings: tag or id → event spec → script.
 	itemBindings map[string]map[string]string
 	current      *canvasItem // item under the pointer
+
+	// damage lists disjoint window areas changed since the last redraw,
+	// already clipped to the area inside the border; fullDamage asks
+	// for the whole window instead.
+	damage     []rect
+	fullDamage bool
+	// drawnW×drawnH is the window size at the last full redraw; a
+	// different size means the window was resized and needs one.
+	drawnW, drawnH int
+	// scratch is the drawnW×drawnH pixmap partial redraws paint into,
+	// created on the first one (0 until then). scratchRefused records
+	// that the server refused it at this size (the pixmap-bytes quota);
+	// the canvas asks again only after a resize.
+	scratch        xproto.ID
+	scratchRefused bool
+	pts            []xproto.Point // reused point buffer
+	rects          []xproto.Rect  // reused fill-rectangle buffer
+	hits           []*canvasItem  // reused list of items to repaint
+}
+
+// rect is a half-open pixel rectangle [x0,x1)×[y0,y1).
+type rect struct{ x0, y0, x1, y1 int }
+
+func (r rect) empty() bool { return r.x0 >= r.x1 || r.y0 >= r.y1 }
+
+func (r rect) overlaps(o rect) bool {
+	return r.x0 < o.x1 && o.x0 < r.x1 && r.y0 < o.y1 && o.y0 < r.y1
+}
+
+func (r rect) union(o rect) rect {
+	return rect{min(r.x0, o.x0), min(r.y0, o.y0), max(r.x1, o.x1), max(r.y1, o.y1)}
+}
+
+func (r rect) intersect(o rect) rect {
+	return rect{max(r.x0, o.x0), max(r.y0, o.y0), min(r.x1, o.x1), min(r.y1, o.y1)}
 }
 
 type canvasItem struct {
@@ -58,22 +100,39 @@ func registerCanvas(app *tk.App) {
 		}
 		c := &Canvas{base: *b, itemBindings: make(map[string]map[string]string)}
 		c.win.Widget = c
-		c.geomAndExposure()
+		c.win.AddEventHandler(xproto.ExposureMask, func(*xproto.Event) {
+			c.damageAll()
+		})
 		c.bindBehaviour()
 		return c.install(c, args[2:])
 	})
 }
 
-// hasTag reports whether the item matches a tag or id spec.
-func (it *canvasItem) hasTag(spec string) bool {
-	if spec == "all" {
+// tagSpec is a tagOrId argument resolved once per subcommand: an
+// integer item id, "all", or a tag name.
+type tagSpec struct {
+	tag  string
+	id   int
+	isID bool
+}
+
+func parseTagSpec(spec string) tagSpec {
+	if n, err := strconv.Atoi(spec); err == nil {
+		return tagSpec{id: n, isID: true}
+	}
+	return tagSpec{tag: spec}
+}
+
+// matches reports whether the item carries the tag or id.
+func (s tagSpec) matches(it *canvasItem) bool {
+	if s.isID {
+		return it.id == s.id
+	}
+	if s.tag == "all" {
 		return true
 	}
-	if n, err := strconv.Atoi(spec); err == nil {
-		return it.id == n
-	}
 	for _, t := range it.tags {
-		if t == spec {
+		if t == s.tag {
 			return true
 		}
 	}
@@ -192,7 +251,7 @@ func (c *Canvas) recompute() error {
 		return err
 	}
 	c.win.GeometryRequest(c.cv.GetInt("-width", 200), c.cv.GetInt("-height", 150))
-	c.win.ScheduleRedraw()
+	c.damageAll()
 	return nil
 }
 
@@ -205,16 +264,19 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 		if len(args) != 1 {
 			return "", fmt.Errorf(`wrong # args: should be "%s delete tagOrId"`, c.win.Path)
 		}
+		spec := parseTagSpec(args[0])
 		kept := c.items[:0]
 		for _, it := range c.items {
-			if !it.hasTag(args[0]) {
+			if !spec.matches(it) {
 				kept = append(kept, it)
-			} else if c.current == it {
+				continue
+			}
+			c.damageItem(it)
+			if c.current == it {
 				c.current = nil
 			}
 		}
 		c.items = kept
-		c.win.ScheduleRedraw()
 		return "", nil
 	case "move":
 		if len(args) != 3 {
@@ -225,29 +287,33 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 		if err1 != nil || err2 != nil {
 			return "", fmt.Errorf("expected integer offsets")
 		}
+		spec := parseTagSpec(args[0])
 		for _, it := range c.items {
-			if it.hasTag(args[0]) {
+			if spec.matches(it) {
+				c.damageItem(it)
 				for i := 0; i+1 < len(it.coords); i += 2 {
 					it.coords[i] += dx
 					it.coords[i+1] += dy
 				}
+				c.damageItem(it)
 			}
 		}
-		c.win.ScheduleRedraw()
 		return "", nil
 	case "coords":
 		if len(args) < 1 {
 			return "", fmt.Errorf(`wrong # args: should be "%s coords tagOrId ?x y ...?"`, c.win.Path)
 		}
+		spec := parseTagSpec(args[0])
 		for _, it := range c.items {
-			if it.hasTag(args[0]) {
+			if spec.matches(it) {
 				if len(args) > 1 {
 					coords, err := parseCoords(args[1:])
 					if err != nil {
 						return "", err
 					}
+					c.damageItem(it)
 					it.coords = coords
-					c.win.ScheduleRedraw()
+					c.damageItem(it)
 					return "", nil
 				}
 				out := make([]string, len(it.coords))
@@ -266,17 +332,20 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 		if len(opts)%2 != 0 {
 			return "", fmt.Errorf("value for %q missing", opts[len(opts)-1])
 		}
+		spec := parseTagSpec(args[0])
 		for _, it := range c.items {
-			if !it.hasTag(args[0]) {
+			if !spec.matches(it) {
 				continue
 			}
+			c.damageItem(it)
 			for i := 0; i < len(opts); i += 2 {
 				if err := c.applyItemOption(it, opts[i], opts[i+1]); err != nil {
+					c.damageItem(it)
 					return "", err
 				}
 			}
+			c.damageItem(it)
 		}
-		c.win.ScheduleRedraw()
 		return "", nil
 	case "bind":
 		if len(args) < 2 || len(args) > 3 {
@@ -322,9 +391,10 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 			return strconv.Itoa(best), nil
 		}
 		if len(args) >= 1 && args[0] == "withtag" && len(args) == 2 {
+			spec := parseTagSpec(args[1])
 			var ids []int
 			for _, it := range c.items {
-				if it.hasTag(args[1]) {
+				if spec.matches(it) {
 					ids = append(ids, it.id)
 				}
 			}
@@ -340,8 +410,9 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 		if len(args) != 1 {
 			return "", fmt.Errorf(`wrong # args: should be "%s gettags tagOrId"`, c.win.Path)
 		}
+		spec := parseTagSpec(args[0])
 		for _, it := range c.items {
-			if it.hasTag(args[0]) {
+			if spec.matches(it) {
 				return tcl.FormatList(it.tags), nil
 			}
 		}
@@ -350,16 +421,17 @@ func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
 		if len(args) != 1 {
 			return "", fmt.Errorf(`wrong # args: should be "%s raise tagOrId"`, c.win.Path)
 		}
+		spec := parseTagSpec(args[0])
 		var lifted, rest []*canvasItem
 		for _, it := range c.items {
-			if it.hasTag(args[0]) {
+			if spec.matches(it) {
 				lifted = append(lifted, it)
+				c.damageItem(it)
 			} else {
 				rest = append(rest, it)
 			}
 		}
 		c.items = append(rest, lifted...)
-		c.win.ScheduleRedraw()
 		return "", nil
 	}
 	return "", fmt.Errorf("bad option %q for canvas", sub)
@@ -411,7 +483,7 @@ func (c *Canvas) cmdCreate(args []string) (string, error) {
 		}
 	}
 	c.items = append(c.items, it)
-	c.win.ScheduleRedraw()
+	c.damageItem(it)
 	return strconv.Itoa(it.id), nil
 }
 
@@ -442,15 +514,210 @@ func (c *Canvas) applyItemOption(it *canvasItem, name, value string) error {
 	return nil
 }
 
-// Redraw implements tk.Widget.
+// damageAll asks the next redraw to repaint the whole window.
+func (c *Canvas) damageAll() {
+	c.fullDamage = true
+	c.damage = c.damage[:0]
+	c.win.ScheduleRedraw()
+}
+
+// damageItem adds the item's current extent, clipped to the area inside
+// the border, to the damage list. Overlapping rectangles merge, so the
+// list stays disjoint and a small move damages one rectangle, not two.
+func (c *Canvas) damageItem(it *canvasItem) {
+	if c.fullDamage {
+		return
+	}
+	r := c.extent(it).intersect(c.inner())
+	if r.empty() {
+		return
+	}
+	for i := 0; i < len(c.damage); {
+		if !c.damage[i].overlaps(r) {
+			i++
+			continue
+		}
+		r = r.union(c.damage[i])
+		last := len(c.damage) - 1
+		c.damage[i] = c.damage[last]
+		c.damage = c.damage[:last]
+		i = 0 // the union may now overlap rectangles already passed
+	}
+	// Each rectangle costs one CopyArea: once the copies and the fill
+	// alone cost what a full redraw does, no partial redraw can win.
+	if 1+len(c.damage)+1 >= c.fullRequests() {
+		c.damageAll()
+		return
+	}
+	c.damage = append(c.damage, r)
+	c.win.ScheduleRedraw()
+}
+
+// fullRequests is what a full redraw sends: one background fill, one
+// request per item and four per pixel of drawn border. A partial redraw
+// sends one fill, one request per item it repaints and one CopyArea per
+// damage rectangle, and runs only when that is fewer.
+func (c *Canvas) fullRequests() int {
+	return 1 + len(c.items) + 4*c.borderWidth()
+}
+
+// borderWidth is the width of the 3-D border drawn around the items: 0
+// when the relief is flat.
+func (c *Canvas) borderWidth() int {
+	bd := c.cv.GetInt("-borderwidth", 2)
+	if bd < 0 || c.cv.Get("-relief") == "flat" {
+		return 0
+	}
+	return bd
+}
+
+// inner is the window area items show in: inside the 3-D border when
+// one is drawn, the whole window otherwise.
+func (c *Canvas) inner() rect {
+	bd := c.borderWidth()
+	return rect{bd, bd, c.win.Width - bd, c.win.Height - bd}
+}
+
+// points returns the vertices the server gets for a line, polygon or
+// oval (a 24-point polygon around the ellipse), in a reused buffer.
+func (c *Canvas) points(it *canvasItem) []xproto.Point {
+	pts := c.pts[:0]
+	if it.kind == "oval" {
+		x0, y0, x1, y1 := it.bbox()
+		cx, cy := (x0+x1)/2, (y0+y1)/2
+		rx, ry := (x1-x0)/2, (y1-y0)/2
+		for k := range cosTable {
+			pts = append(pts, xproto.Point{
+				X: int16(cx + int(float64(rx)*cosTable[k])),
+				Y: int16(cy + int(float64(ry)*sinTable[k])),
+			})
+		}
+	} else {
+		for i := 0; i+1 < len(it.coords); i += 2 {
+			pts = append(pts, xproto.Point{X: int16(it.coords[i]), Y: int16(it.coords[i+1])})
+		}
+	}
+	c.pts = pts
+	return pts
+}
+
+// extent returns a conservative bound of the pixels drawing the item
+// touches, computed from the same 16-bit values the requests carry:
+// lines are padded by their width, text spans the font's ascent and
+// descent and one glyph cell per byte, and filled shapes cover their
+// vertices' bounding box.
+func (c *Canvas) extent(it *canvasItem) rect {
+	switch it.kind {
+	case "rectangle":
+		x0, y0, x1, y1 := it.bbox()
+		x, y := int(int16(x0)), int(int16(y0))
+		return rect{x, y, x + int(uint16(x1-x0)), y + int(uint16(y1-y0))}
+	case "text":
+		x, y := int(int16(it.coords[0])), int(int16(it.coords[1]+c.font.Ascent))
+		// The server draws every byte as one glyph cell, and '?' for a
+		// byte it has no glyph for, which TextWidth may count narrower.
+		w := max(c.font.TextWidth(it.text), len(it.text)*c.font.TextWidth("M"))
+		return rect{x, y - c.font.Ascent, x + w, y + c.font.Descent}
+	}
+	pts := c.points(it)
+	if len(pts) == 0 {
+		return rect{}
+	}
+	r := rect{int(pts[0].X), int(pts[0].Y), int(pts[0].X) + 1, int(pts[0].Y) + 1}
+	for _, p := range pts[1:] {
+		r = r.union(rect{int(p.X), int(p.Y), int(p.X) + 1, int(p.Y) + 1})
+	}
+	if it.kind == "line" {
+		r = rect{r.x0 - it.width, r.y0 - it.width, r.x1 + it.width, r.y1 + it.width}
+	}
+	return r
+}
+
+// Redraw implements tk.Widget. Full damage, a size change since the
+// last full redraw, or damage whose repaint would send as many requests
+// as a full redraw (fullRequests) repaints the whole window and its
+// border in place; otherwise the damage list is repainted in the
+// scratch pixmap and each rectangle copied to the window. Pixels
+// outside the rectangles are never copied, so the scratch pixmap's
+// stale contents there never show.
 func (c *Canvas) Redraw() {
 	if c.win.Destroyed {
 		return
 	}
-	c.clear(c.bg)
-	bd := c.cv.GetInt("-borderwidth", 2)
+	w, h := c.win.Width, c.win.Height
+	partial := !c.fullDamage && len(c.damage) > 0 && w == c.drawnW && h == c.drawnH
+	if partial {
+		c.hits = c.hits[:0]
+		for _, it := range c.items {
+			if c.meetsDamage(it) {
+				c.hits = append(c.hits, it)
+			}
+		}
+		partial = 1+len(c.hits)+len(c.damage) < c.fullRequests()
+	}
+	if partial && c.scratch == 0 {
+		partial = !c.scratchRefused && c.createScratch()
+	}
+	if partial {
+		d := c.app.Disp
+		c.drawItems(c.scratch, c.damage, c.hits)
+		gc := c.app.GC(c.bg, c.bg, 1, c.fontID())
+		for _, r := range c.damage {
+			d.CopyArea(c.scratch, c.win.XID, gc, r.x0, r.y0, r.x0, r.y0, r.x1-r.x0, r.y1-r.y0)
+		}
+	} else {
+		if w != c.drawnW || h != c.drawnH {
+			c.freeScratch()
+			c.scratchRefused = false
+			c.drawnW, c.drawnH = w, h
+		}
+		c.drawItems(c.win.XID, []rect{{0, 0, w, h}}, c.items)
+		c.draw3DBorder(0, 0, w, h, c.cv.GetInt("-borderwidth", 2), c.bg, c.cv.Get("-relief"))
+	}
+	c.fullDamage = false
+	c.damage = c.damage[:0]
+	clear(c.hits) // drop references to deleted items
+}
+
+// meetsDamage reports whether the item's extent meets a damage
+// rectangle.
+func (c *Canvas) meetsDamage(it *canvasItem) bool {
+	ext := c.extent(it)
+	for _, r := range c.damage {
+		if r.overlaps(ext) {
+			return true
+		}
+	}
+	return false
+}
+
+// createScratch creates the drawnW×drawnH scratch pixmap, confirming it
+// with one round trip. A session over its pixmap-bytes quota is refused
+// one (docs/farm.md) and gets one X error for it; the canvas then
+// repaints the whole window in place until a resize, when it asks again.
+func (c *Canvas) createScratch() bool {
 	d := c.app.Disp
-	for _, it := range c.items {
+	pix := d.CreatePixmap(c.drawnW, c.drawnH)
+	if _, err := d.GetGeometry(pix); err != nil {
+		c.scratchRefused = true
+		return false
+	}
+	c.scratch = pix
+	return true
+}
+
+// drawItems paints the damage rectangles of dst: one background fill,
+// then the given items in order. Given every item, in stacking order,
+// whose extent meets a rectangle, each rectangle's pixels end up
+// exactly as a full redraw leaves them.
+func (c *Canvas) drawItems(dst xproto.ID, damage []rect, items []*canvasItem) {
+	d := c.app.Disp
+	c.rects = c.rects[:0]
+	for _, r := range damage {
+		c.rects = append(c.rects, xproto.Rect{X: int16(r.x0), Y: int16(r.y0), W: uint16(r.x1 - r.x0), H: uint16(r.y1 - r.y0)})
+	}
+	d.FillRectangles(dst, c.app.GC(c.bg, c.bg, 1, c.fontID()), c.rects)
+	for _, it := range items {
 		px, err := c.app.Color(it.fill)
 		if err != nil {
 			px = 0
@@ -458,38 +725,30 @@ func (c *Canvas) Redraw() {
 		gc := c.app.GC(px, c.bg, it.width, c.fontID())
 		switch it.kind {
 		case "line":
-			pts := make([]xproto.Point, 0, len(it.coords)/2)
-			for i := 0; i+1 < len(it.coords); i += 2 {
-				pts = append(pts, xproto.Point{X: int16(it.coords[i]), Y: int16(it.coords[i+1])})
-			}
-			d.DrawLines(c.win.XID, gc, pts)
+			d.DrawLines(dst, gc, c.points(it))
 		case "rectangle":
 			x0, y0, x1, y1 := it.bbox()
-			d.FillRectangle(c.win.XID, gc, x0, y0, x1-x0, y1-y0)
-		case "oval":
-			// Approximated by a filled polygon around the ellipse.
-			x0, y0, x1, y1 := it.bbox()
-			cx, cy := (x0+x1)/2, (y0+y1)/2
-			rx, ry := (x1-x0)/2, (y1-y0)/2
-			pts := make([]xproto.Point, 0, 24)
-			for k := 0; k < 24; k++ {
-				pts = append(pts, xproto.Point{
-					X: int16(cx + int(float64(rx)*cosTable[k])),
-					Y: int16(cy + int(float64(ry)*sinTable[k])),
-				})
-			}
-			d.FillPolygon(c.win.XID, gc, pts)
-		case "polygon":
-			pts := make([]xproto.Point, 0, len(it.coords)/2)
-			for i := 0; i+1 < len(it.coords); i += 2 {
-				pts = append(pts, xproto.Point{X: int16(it.coords[i]), Y: int16(it.coords[i+1])})
-			}
-			d.FillPolygon(c.win.XID, gc, pts)
+			d.FillRectangle(dst, gc, x0, y0, x1-x0, y1-y0)
+		case "oval", "polygon":
+			d.FillPolygon(dst, gc, c.points(it))
 		case "text":
-			d.DrawString(c.win.XID, gc, it.coords[0], it.coords[1]+c.font.Ascent, it.text)
+			d.DrawString(dst, gc, it.coords[0], it.coords[1]+c.font.Ascent, it.text)
 		}
 	}
-	c.draw3DBorder(0, 0, c.win.Width, c.win.Height, bd, c.bg, c.cv.Get("-relief"))
+}
+
+// freeScratch releases the scratch pixmap, if any.
+func (c *Canvas) freeScratch() {
+	if c.scratch != 0 {
+		c.app.Disp.FreePixmap(c.scratch)
+		c.scratch = 0
+	}
+}
+
+// Destroyed implements tk.Widget.
+func (c *Canvas) Destroyed() {
+	c.freeScratch()
+	c.base.Destroyed()
 }
 
 // cosTable/sinTable hold 24 points around the unit circle (avoiding a
