@@ -1,6 +1,6 @@
 # Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder and
-# canvas-damage fuzz smoke, the observability smoke
+# script in the tree (docs/static-analysis.md), the frame-decoder,
+# Tcl-eval and canvas-damage fuzz smoke, the observability smoke
 # (docs/observability.md), the chaos harness (docs/fault-injection.md),
 # and the benchmark's own tests (perfbench/README.md). All legs must
 # pass before a change ships.
@@ -25,15 +25,19 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment/delta codec) and the canvas's damage-region redisplay a
-# bounded fuzzing pass on every check run; longer campaigns just raise
-# -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
-# (internal/xproto/fuzz_test.go); FuzzCanvasDamage runs arbitrary item
+# v2 segment codec), the Tcl interpreter and the canvas's damage-region
+# redisplay a bounded fuzzing pass on every check run; longer campaigns
+# just raise -fuzztime. Corpus seeds cover v1 and v2 frames in both
+# directions (internal/xproto/fuzz_test.go); FuzzEval runs arbitrary
+# scripts through Interp.Eval, expr included, and checks that nesting
+# past the interpreter's depth limit is a Tcl error, not a crash
+# (internal/tcl/fuzz_test.go); FuzzCanvasDamage runs arbitrary item
 # command sequences and checks every partial redraw against a full one
 # (internal/widget/canvas_damage_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
+	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanvasDamage$$' -fuzztime 5s ./internal/widget
 
 bench: bench-farm

@@ -220,26 +220,28 @@ func chaosWorkload(t *testing.T, srv *xserver.Server, fc *fault.Conn, sc fault.S
 // ---------------------------------------------------------------------
 // Wire protocol v2 under fire (docs/pipelining.md, "Wire protocol v2").
 //
-// The v2 codec ships compressed, delta-encoded segments, so a single
-// flipped bit no longer damages one request — it damages a whole
-// coalesced run, and a desynced delta cache would silently reconstruct
-// *plausible but wrong* frames forever after. These scenarios hold the
-// failure-mode line: corruption inside a compressed segment and a kill
-// mid-delta-stream must degrade to a clean connection loss (every
-// cookie fails promptly with the root cause) — never to a garbage
-// frame reaching a handler, which the deterministic-pixel check below
-// would catch as silent canvas corruption.
+// The v2 codec ships compressed segments, so a single flipped bit no
+// longer damages one request — it damages a whole coalesced run, and a
+// torn segment leaves the server holding half a compressed body. These
+// scenarios hold the failure-mode line: corruption inside a compressed
+// segment and a kill in the middle of one must degrade to a clean
+// connection loss (every cookie fails promptly with the root cause) —
+// never to a garbage frame reaching a handler, which the
+// deterministic-pixel check below would catch as silent canvas
+// corruption.
 
 // chaosWireScenarios: bit flips on each direction's compressed
-// segments, and a mid-stream kill between delta frames. The corruption
-// probabilities are much higher than the v1 matrix's because they are
-// charged per Write/Read call and the whole point of v2 is that a
-// storm collapses into a handful of large writes — at v1's 0.05 the
-// seeded runs inject nothing at all (the runner asserts they do).
+// segments, and a kill part-way through the storm's compressed segment
+// (the clean reference run checks that the byte budget lands there).
+// The corruption probabilities are much higher than the v1 matrix's
+// because they are charged per Write/Read call and the whole point of
+// v2 is that a storm collapses into a handful of large writes — at
+// v1's 0.05 the seeded runs inject nothing at all (the runner asserts
+// they do).
 var chaosWireScenarios = []fault.Scenario{
 	{Name: "v2-bitflip-compressed-write", Seed: 21, CorruptWriteProb: 0.5},
 	{Name: "v2-bitflip-compressed-read", Seed: 24, CorruptReadProb: 0.5},
-	{Name: "v2-kill-mid-delta", Seed: 23, KillAfterBytes: 1024},
+	{Name: "v2-kill-mid-compressed-segment", Seed: 23, KillAfterBytes: 1024},
 }
 
 // wireChaosOutcome extends the plain outcome with the silent-corruption
@@ -282,6 +284,22 @@ func runWireChaosScenario(t *testing.T, sc fault.Scenario) {
 		w := wireChaosStorm(d)
 		if err := d.Sync(); err != nil {
 			t.Fatalf("clean reference sync: %v", err)
+		}
+		if sc.KillAfterBytes > 0 {
+			// The storm and the Sync crossed as one compressed segment,
+			// right behind the upgrade frame. The kill must land strictly
+			// inside it, so the server sees a torn compressed body.
+			m := d.Metrics()
+			segs, skipped := m.Counter("wire.segments.v2").Value(), m.Counter("wire.compress.skipped").Value()
+			if segs != 1 || skipped != 0 {
+				t.Fatalf("clean reference sent %d segments (%d uncompressed), want one compressed", segs, skipped)
+			}
+			upgrade := int64(len(xproto.AppendRequestFrame(nil, &xproto.UpgradeWireReq{Version: 2})))
+			seg := int64(m.Counter("wire.bytes.wire").Value())
+			if sc.KillAfterBytes <= upgrade || sc.KillAfterBytes >= upgrade+seg {
+				t.Fatalf("KillAfterBytes %d falls outside the %d-byte compressed segment at offset %d",
+					sc.KillAfterBytes, seg, upgrade)
+			}
 		}
 		shot, err := d.Screenshot(w)
 		if err != nil {
@@ -339,8 +357,8 @@ func runWireChaosScenario(t *testing.T, sc fault.Scenario) {
 		t.Fatalf("scenario %q injected %d faults, connection is dead, and nothing surfaced",
 			sc.Name, injected)
 	}
-	// The kill fires deterministically inside the delta stream (the
-	// storm alone crosses KillAfterBytes): the connection must die and
+	// The kill fires deterministically inside the storm's compressed
+	// segment (checked on the reference run): the connection must die and
 	// every outstanding cookie must have failed with the root cause
 	// rather than hanging (the watchdog above is the hang detector).
 	if sc.KillAfterBytes > 0 {
@@ -354,8 +372,8 @@ func runWireChaosScenario(t *testing.T, sc fault.Scenario) {
 }
 
 // wireChaosStorm paints the deterministic pattern the pixel check keys
-// on: a window, one GC, and 400 delta-friendly fills (same opcode,
-// varying geometry — exactly the traffic the v2 cache collapses).
+// on: a window, one GC, and 400 fills (same opcode, varying geometry —
+// the repetitive traffic v2 compression collapses).
 func wireChaosStorm(d *xclient.Display) xproto.ID {
 	w := d.CreateWindow(d.Root, 0, 0, 320, 240, 0, xclient.WindowAttributes{Background: 0x202020})
 	d.MapWindow(w)

@@ -17,7 +17,22 @@ func registerString(in *Interp) {
 // GlobMatch reports whether s matches the glob pattern pat using Tcl's
 // "string match" rules: * matches any sequence, ? any single character,
 // [chars] a set or range, and backslash escapes the next character.
-func GlobMatch(pat, s string) bool {
+func GlobMatch(pat, s string) bool { return globMatch(pat, s) == globMatched }
+
+// globResult is globMatch's verdict. globAbort means s ran out before
+// pat did: no suffix of s can match the rest of pat either, so an
+// enclosing * need not try its remaining positions (wildmat's early
+// exit). Without it every * retries every position under every later
+// one, and a pattern of k stars costs len(s)^k.
+type globResult int8
+
+const (
+	globNoMatch globResult = iota
+	globMatched
+	globAbort
+)
+
+func globMatch(pat, s string) globResult {
 	p, n := 0, 0
 	for p < len(pat) {
 		switch pat[p] {
@@ -27,23 +42,23 @@ func GlobMatch(pat, s string) bool {
 				p++
 			}
 			if p == len(pat) {
-				return true
+				return globMatched
 			}
 			for i := n; i <= len(s); i++ {
-				if GlobMatch(pat[p:], s[i:]) {
-					return true
+				if r := globMatch(pat[p:], s[i:]); r != globNoMatch {
+					return r
 				}
 			}
-			return false
+			return globAbort
 		case '?':
 			if n >= len(s) {
-				return false
+				return globAbort
 			}
 			p++
 			n++
 		case '[':
 			if n >= len(s) {
-				return false
+				return globAbort
 			}
 			p++
 			matched := false
@@ -68,24 +83,36 @@ func GlobMatch(pat, s string) bool {
 				p++ // consume ']'
 			}
 			if !matched {
-				return false
+				return globNoMatch
 			}
 			n++
 		case '\\':
 			p++
 			if p >= len(pat) {
-				return n < len(s) && s[n] == '\\'
+				switch {
+				case n >= len(s):
+					return globAbort
+				case s[n] == '\\':
+					return globMatched
+				}
+				return globNoMatch
 			}
 			fallthrough
 		default:
-			if n >= len(s) || s[n] != pat[p] {
-				return false
+			if n >= len(s) {
+				return globAbort
+			}
+			if s[n] != pat[p] {
+				return globNoMatch
 			}
 			p++
 			n++
 		}
 	}
-	return n == len(s)
+	if n == len(s) {
+		return globMatched
+	}
+	return globNoMatch
 }
 
 func cmdString(in *Interp, args []string) (string, error) {

@@ -252,8 +252,27 @@ func (e *exprParser) peekOp() string {
 
 func (e *exprParser) takeOp(op string) { e.pos += len(op) }
 
+// enter descends one level of expression nesting: a parenthesis, a
+// function argument, a ?: branch or a unary operator. The levels count
+// against the interpreter's nesting depth, the one Eval bounds by
+// maxNesting, so an expression nested arbitrarily deep — alone or
+// inside a deep chain of procs and substitutions — is a Tcl error
+// rather than a Go stack overflow. Each nil return is paired with
+// e.in.nesting--.
+func (e *exprParser) enter() error {
+	if e.in.nesting >= e.in.maxNesting {
+		return errf("expression nested too deeply")
+	}
+	e.in.nesting++
+	return nil
+}
+
 // parseTernary handles cond ? a : b (lowest precedence).
 func (e *exprParser) parseTernary() (exprVal, error) {
+	if err := e.enter(); err != nil {
+		return exprVal{}, err
+	}
+	defer func() { e.in.nesting-- }()
 	cond, err := e.parseBinary(0)
 	if err != nil {
 		return exprVal{}, err
@@ -513,68 +532,47 @@ func (e *exprParser) parseUnary() (exprVal, error) {
 	if e.eof() {
 		return exprVal{}, errf("premature end of expression")
 	}
-	switch c := e.src[e.pos]; c {
-	case '-':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		n, ok := coerceNumber(v)
-		if !ok {
-			return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), "-")
-		}
-		if n.kind == intVal {
-			return intValue(-n.i), nil
-		}
-		return floatValue(-n.f), nil
-	case '+':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		n, ok := coerceNumber(v)
-		if !ok {
-			return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), "+")
-		}
-		return n, nil
+	op := e.src[e.pos]
+	if op != '-' && op != '+' && op != '!' && op != '~' {
+		return e.parsePrimary()
+	}
+	e.pos++
+	if err := e.enter(); err != nil {
+		return exprVal{}, err
+	}
+	v, err := e.parseUnary()
+	e.in.nesting--
+	if err != nil {
+		return exprVal{}, err
+	}
+	if e.skip > 0 {
+		return intValue(0), nil
+	}
+	switch op {
 	case '!':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
 		b, err := v.truth()
 		if err != nil {
 			return exprVal{}, err
 		}
 		return boolValue(!b), nil
 	case '~':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
 		n, ok := coerceNumber(v)
 		if !ok || n.kind != intVal {
 			return exprVal{}, errf("can't use non-integer value as operand of %q", "~")
 		}
 		return intValue(^n.i), nil
 	}
-	return e.parsePrimary()
+	n, ok := coerceNumber(v)
+	if !ok {
+		return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), string(op))
+	}
+	if op == '+' {
+		return n, nil
+	}
+	if n.kind == intVal {
+		return intValue(-n.i), nil
+	}
+	return floatValue(-n.f), nil
 }
 
 func (e *exprParser) parsePrimary() (exprVal, error) {

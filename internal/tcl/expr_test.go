@@ -3,6 +3,7 @@ package tcl
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -228,4 +229,42 @@ func TestExprLazyEvaluation(t *testing.T) {
 	exprOK(t, in, `0 ? (1 ? 10 : 20) : (0 ? 30 : 40)`, "40")
 	// Quoted operand in a skipped branch.
 	exprOK(t, in, `1 ? 7 : "no [nosuchcmd] here"`, "7")
+}
+
+// TestExprDeepNesting: an expression nested past the interpreter's
+// maxNesting — by parentheses, a unary minus chain, ?: branches or
+// function arguments, alone or under a chain of recursive procs — is a
+// Tcl error, never a Go stack overflow, and leaves the interpreter's
+// nesting depth where it found it.
+func TestExprDeepNesting(t *testing.T) {
+	const n = 200000
+	in := New()
+	for _, tc := range []struct{ name, expr string }{
+		{"parentheses", strings.Repeat("(", n) + "1" + strings.Repeat(")", n)},
+		{"unary minus", strings.Repeat("-", n) + "1"},
+		{"ternary", strings.Repeat("1?1:", n) + "1"},
+		{"function", strings.Repeat("abs(", n) + "1" + strings.Repeat(")", n)},
+	} {
+		if _, err := in.Eval("expr {" + tc.expr + "}"); err == nil || !strings.Contains(err.Error(), "nested too deeply") {
+			t.Errorf("%s: err = %v, want a nesting error", tc.name, err)
+		}
+		if in.nesting != 0 {
+			t.Fatalf("%s: nesting depth %d after the error, want 0", tc.name, in.nesting)
+		}
+	}
+	// Each proc level nests 900 parentheses around the next call: no
+	// single expression passes the bound, the chain as a whole does.
+	if _, err := in.Eval(`proc f {n} {expr {$n <= 0 ? 0 : ` + strings.Repeat("(", 900) + `[f [expr {$n-1}]]` + strings.Repeat(")", 900) + `}}`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Eval("f 1000"); err == nil {
+		t.Errorf("proc chain: nested 900000 levels without error")
+	}
+	// Within the bound, nesting still evaluates.
+	exprOK(t, in, strings.Repeat("(", 300)+"7"+strings.Repeat(")", 300), "7")
+	exprOK(t, in, strings.Repeat("-", 301)+"7", "-7")
+	exprOK(t, in, strings.Repeat("abs(", 100)+"-7"+strings.Repeat(")", 100), "7")
+	if _, err := in.Eval("f 0"); err != nil {
+		t.Errorf("f 0: %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -56,6 +57,13 @@ func TestStringMatch(t *testing.T) {
 		{"a**b", "ab", "1"},
 		{"*.tcl", "main.tcl", "1"},
 		{"*.tcl", "main.go", "0"},
+		{"*a*b*", "xaybz", "1"},
+		{"*a?c*", "zzabcz", "1"},
+		{"*a*b", "abba", "0"},
+		// Twelve stars over sixty characters: rejected without trying
+		// every star position under every other (about 60^12 steps).
+		{strings.Repeat("*a", 12) + "*b", strings.Repeat("a", 60), "0"},
+		{strings.Repeat("*a", 12) + "*", strings.Repeat("a", 60), "1"},
 	}
 	for _, c := range cases {
 		got := evalOK(t, in, "string match {"+c.pat+"} {"+c.s+"}")

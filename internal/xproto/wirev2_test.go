@@ -2,8 +2,8 @@ package xproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -16,9 +16,19 @@ func encodePayload(t *testing.T, req Request) []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
-// collectSegment decodes a client→server segment envelope + inner frames
-// with dc and returns the (op, payload) pairs seen.
-func collectSegment(t *testing.T, dc *DeltaCache, seg []byte) []struct {
+// requestFrame renders one v1 request frame for (op, payload).
+func requestFrame(t *testing.T, op uint16, payload []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := WriteRequestFrame(&b, op, payload); err != nil {
+		t.Fatalf("WriteRequestFrame: %v", err)
+	}
+	return b.Bytes()
+}
+
+// collectSegment decodes a client→server segment envelope and the
+// request frames inside it, returning the (op, payload) pairs seen.
+func collectSegment(t *testing.T, seg []byte) []struct {
 	op      uint16
 	payload []byte
 } {
@@ -31,7 +41,7 @@ func collectSegment(t *testing.T, dc *DeltaCache, seg []byte) []struct {
 		op      uint16
 		payload []byte
 	}
-	err = dc.DecodeRequestSegment(raw, func(op uint16, payload []byte) error {
+	err = WalkRequestFrames(raw, func(op uint16, payload []byte) error {
 		got = append(got, struct {
 			op      uint16
 			payload []byte
@@ -39,7 +49,7 @@ func collectSegment(t *testing.T, dc *DeltaCache, seg []byte) []struct {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("DecodeRequestSegment: %v", err)
+		t.Fatalf("WalkRequestFrames: %v", err)
 	}
 	return got
 }
@@ -59,27 +69,24 @@ func segPayload(t *testing.T, frame []byte) []byte {
 }
 
 func TestWireSegRoundTripCompressed(t *testing.T) {
-	// Highly repetitive inner frames: compression must kick in, and the
+	// Highly repetitive frames: compression must kick in, and the
 	// decode must reproduce every (op, payload) pair in order.
-	enc := NewDeltaCache()
 	var inner []byte
 	var want [][]byte
 	for i := 0; i < 50; i++ {
 		req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 10, W: 20, H: 20}}}
-		p := encodePayload(t, req)
-		want = append(want, p)
-		inner, _ = AppendInnerRequestFrame(inner, req.Op(), p, enc)
+		want = append(want, encodePayload(t, req))
+		inner = AppendRequestFrame(inner, req)
 	}
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	frame, compressed := AppendWireSegRequestFrame(nil, inner)
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
 	}
 	if len(frame) >= len(inner) {
-		t.Fatalf("compressed frame (%d bytes) not smaller than raw inner frames (%d bytes)", len(frame), len(inner))
+		t.Fatalf("compressed frame (%d bytes) not smaller than the raw frames (%d bytes)", len(frame), len(inner))
 	}
 
-	dec := NewDeltaCache()
-	got := collectSegment(t, dec, segPayload(t, frame))
+	got := collectSegment(t, segPayload(t, frame))
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d frames, want %d", len(got), len(want))
 	}
@@ -99,125 +106,35 @@ func TestWireSegIncompressiblePassthrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	payload := make([]byte, 2048)
 	rng.Read(payload)
-	var inner []byte
-	inner, _ = AppendInnerRequestFrame(inner, OpPing, payload, nil)
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	frame, compressed := AppendWireSegRequestFrame(nil, requestFrame(t, OpPing, payload))
 	if compressed {
 		t.Fatalf("random segment claims to have compressed")
 	}
-	dec := NewDeltaCache()
-	got := collectSegment(t, dec, segPayload(t, frame))
+	got := collectSegment(t, segPayload(t, frame))
 	if len(got) != 1 || got[0].op != OpPing || !bytes.Equal(got[0].payload, payload) {
 		t.Fatalf("passthrough round trip mismatch")
 	}
 }
 
 func TestWireSegSmallSegmentNotCompressed(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, nil, nil)
+	inner := requestFrame(t, OpPing, nil)
 	if len(inner) >= minCompressSize {
 		t.Fatalf("test premise broken: tiny frame is %d bytes", len(inner))
 	}
-	_, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	_, compressed := AppendWireSegRequestFrame(nil, inner)
 	if compressed {
 		t.Fatalf("segment below minCompressSize was compressed")
 	}
 }
 
-func TestDeltaEncodingHitsAndReconstructs(t *testing.T) {
-	// Second and later frames for the same opcode differ in a few bytes:
-	// the encoder must switch to delta form and the decoder must
-	// reconstruct exactly.
-	enc, dec := NewDeltaCache(), NewDeltaCache()
-	var deltas int
-	for i := 0; i < 20; i++ {
-		req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i * 3), Y: int16(i), W: 64, H: 48}}}
-		p := encodePayload(t, req)
-		inner, usedDelta := AppendInnerRequestFrame(nil, req.Op(), p, enc)
-		if i > 0 && !usedDelta {
-			t.Fatalf("frame %d: near-identical frame did not delta-encode", i)
-		}
-		if usedDelta {
-			deltas++
-			if len(inner) >= 7+len(p) {
-				t.Fatalf("frame %d: delta form (%d bytes) not smaller than raw (%d bytes)", i, len(inner), 7+len(p))
-			}
-		}
-		var got []byte
-		err := dec.DecodeRequestSegment(inner, func(op uint16, payload []byte) error {
-			got = append(got[:0], payload...)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("frame %d: decode: %v", i, err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: reconstruction mismatch\n got %x\nwant %x", i, got, p)
-		}
-	}
-	if deltas != 19 {
-		t.Fatalf("deltas = %d, want 19", deltas)
-	}
-}
-
-func TestDeltaLargePayloadSkipsCache(t *testing.T) {
-	// Payloads above DeltaMaxPayload must ship raw and leave the cache
-	// untouched on both sides.
-	enc, dec := NewDeltaCache(), NewDeltaCache()
-	small := bytes.Repeat([]byte{0xAA}, 100)
-	big := bytes.Repeat([]byte{0xBB}, DeltaMaxPayload+1)
-
-	feed := func(p []byte) (usedDelta bool) {
-		inner, used := AppendInnerRequestFrame(nil, OpPing, p, enc)
-		if err := dec.DecodeRequestSegment(inner, func(op uint16, payload []byte) error {
-			if !bytes.Equal(payload, p) {
-				t.Fatalf("payload mismatch")
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		return used
-	}
-	feed(small)
-	if feed(big) {
-		t.Fatalf("oversized payload delta-encoded")
-	}
-	// The cache still holds `small`: an identical repeat must delta.
-	if !feed(small) {
-		t.Fatalf("cache entry was clobbered by the oversized payload")
-	}
-}
-
-func TestDeltaCacheDesyncDetected(t *testing.T) {
-	// Encode against one cache state, decode against another: the
-	// stamped checksum must catch it before a wrong payload escapes.
-	enc := NewDeltaCache()
-	a := bytes.Repeat([]byte{1, 2, 3, 4}, 16)
-	b := append([]byte(nil), a...)
-	b[0] ^= 0xFF // guaranteed to change deltaSum (rot-by-64 is identity)
-	AppendInnerRequestFrame(nil, OpPing, a, enc)
-	inner, used := AppendInnerRequestFrame(nil, OpPing, a, enc)
-	if !used {
-		t.Fatalf("identical repeat did not delta-encode")
-	}
-
-	dec := NewDeltaCache()
-	dec.update(OpPing, b) // desynced: decoder cached a different frame
-	err := dec.DecodeRequestSegment(inner, func(uint16, []byte) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "desync") {
-		t.Fatalf("desynced decode err = %v, want cache desync", err)
-	}
-
-	// And with no cached frame at all.
-	err = NewDeltaCache().DecodeRequestSegment(inner, func(uint16, []byte) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "no cached frame") {
-		t.Fatalf("cold-cache decode err = %v, want missing-frame error", err)
-	}
-}
-
 func TestSegmentChecksumMismatch(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, bytes.Repeat([]byte{5}, 200), nil)
-	frame, _ := AppendWireSegRequestFrame(nil, inner, false)
+	rng := rand.New(rand.NewSource(3))
+	payload := make([]byte, 200)
+	rng.Read(payload)
+	frame, compressed := AppendWireSegRequestFrame(nil, requestFrame(t, OpPing, payload))
+	if compressed {
+		t.Fatalf("random segment claims to have compressed")
+	}
 	seg := segPayload(t, frame)
 	// Flip one bit in the body (past the 9-byte envelope header).
 	seg[9+len(seg[9:])/2] ^= 0x40
@@ -227,8 +144,7 @@ func TestSegmentChecksumMismatch(t *testing.T) {
 }
 
 func TestSegmentCorruptCompressedBody(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, bytes.Repeat([]byte{5}, 500), nil)
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	frame, compressed := AppendWireSegRequestFrame(nil, requestFrame(t, OpPing, bytes.Repeat([]byte{5}, 500)))
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
 	}
@@ -246,20 +162,69 @@ func TestSegmentCorruptCompressedBody(t *testing.T) {
 }
 
 func TestSegmentTruncationAndFlags(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, []byte{1, 2, 3}, nil)
-	frame, _ := AppendWireSegRequestFrame(nil, inner, false)
+	inner := requestFrame(t, OpPing, []byte{1, 2, 3})
+	frame, _ := AppendWireSegRequestFrame(nil, inner)
 	seg := segPayload(t, frame)
+	flagged := append([]byte(nil), seg...)
+	flagged[0] = 0x80 // unknown flag bit
+	decode := func(env []byte) error {
+		_, _, err := DecodeSegmentPayload(env, nil)
+		return err
+	}
+	walk := func(raw []byte) error {
+		return WalkRequestFrames(raw, func(uint16, []byte) error { return nil })
+	}
+	// inner is [u16 op][u32 len=3][3 bytes]: cut inside the header, and
+	// a length field claiming one byte more than is present.
+	overrun := append([]byte(nil), inner...)
+	overrun[5]++
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"truncated envelope", decode(seg[:5])},
+		{"truncated body", decode(seg[:len(seg)-1])},
+		{"unknown flags", decode(flagged)},
+		{"truncated request header", walk(inner[:4])},
+		{"request length overrun", walk(overrun)},
+		{"torn second request", walk(append(append([]byte(nil), inner...), inner[:len(inner)-1]...))},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+	if err := walk(append(append([]byte(nil), inner...), inner...)); err != nil {
+		t.Fatalf("two whole requests: %v", err)
+	}
+}
 
-	if _, _, err := DecodeSegmentPayload(seg[:5], nil); err == nil {
-		t.Fatalf("truncated envelope decoded")
+func TestSegmentDeclaredLengthBounded(t *testing.T) {
+	// A compressed envelope may not declare more raw bytes than its body
+	// can inflate to: a 10-byte envelope claiming 64 MiB must fail
+	// before the decoder allocates for it.
+	env := []byte{segFlagCompressed, 0, 0, 0, 0, 0x04, 0, 0, 0, 0x03}
+	_, scratch, err := DecodeSegmentPayload(env, nil)
+	if err == nil {
+		t.Fatalf("64 MiB claim from a 1-byte body decoded")
 	}
-	if _, _, err := DecodeSegmentPayload(seg[:len(seg)-1], nil); err == nil {
-		t.Fatalf("truncated body decoded")
+	if cap(scratch) > 0 {
+		t.Fatalf("rejected envelope grew scratch to %d bytes", cap(scratch))
 	}
-	mut := append([]byte(nil), seg...)
-	mut[0] = 0x80 // unknown flag bit
-	if _, _, err := DecodeSegmentPayload(mut, nil); err == nil {
-		t.Fatalf("unknown flags decoded")
+	// One byte past the ratio bound is refused too; a real segment at a
+	// high ratio still decodes.
+	raw := requestFrame(t, OpPing, make([]byte, 1<<16))
+	frame, compressed := AppendWireSegRequestFrame(nil, raw)
+	if !compressed {
+		t.Fatalf("zero-filled segment did not compress")
+	}
+	good := segPayload(t, frame)
+	if _, _, err := DecodeSegmentPayload(good, nil); err != nil {
+		t.Fatalf("genuine %d:1 segment: %v", len(raw)/(len(good)-9), err)
+	}
+	over := append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(over[5:9], uint32(len(good)-9)*maxInflateRatio+1)
+	if _, scratch, err := DecodeSegmentPayload(over, nil); err == nil || cap(scratch) > 0 {
+		t.Fatalf("over-ratio claim: err %v, scratch %d bytes", err, cap(scratch))
 	}
 }
 
@@ -278,7 +243,7 @@ func TestWalkServerFrames(t *testing.T) {
 		raw = append(raw, byte(len(f.payload)>>24), byte(len(f.payload)>>16), byte(len(f.payload)>>8), byte(len(f.payload)))
 		raw = append(raw, f.payload...)
 	}
-	sframe, _ := AppendWireSegServerFrame(nil, raw, true)
+	sframe, _ := AppendWireSegServerFrame(nil, raw)
 	kind, seg, err := ReadServerFrame(bytes.NewReader(sframe))
 	if err != nil || kind != KindWireSeg {
 		t.Fatalf("ReadServerFrame: kind %d, err %v", kind, err)
@@ -306,36 +271,4 @@ func TestWalkServerFrames(t *testing.T) {
 	if err := WalkServerFrames(dec[:len(dec)-3], func(byte, []byte) error { return nil }); err == nil {
 		t.Fatalf("truncated server segment walked without error")
 	}
-}
-
-func TestApplyDeltaOpsBounds(t *testing.T) {
-	old := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	// copyLen beyond the cached frame.
-	ops := []byte{}
-	ops = appendUvarint(ops, 12) // copy 12 of an 8-byte cache
-	ops = appendUvarint(ops, 0)
-	if _, err := applyDeltaOps(nil, old, ops, 12); err == nil {
-		t.Fatalf("copy beyond cached frame accepted")
-	}
-	// Literal length beyond the ops buffer.
-	ops = appendUvarint(nil, 0)
-	ops = appendUvarint(ops, 5)
-	ops = append(ops, 1, 2) // only 2 literal bytes present
-	if _, err := applyDeltaOps(nil, old, ops, 5); err == nil {
-		t.Fatalf("literals beyond frame accepted")
-	}
-	// Reconstruction shorter than declared.
-	ops = appendUvarint(nil, 2)
-	ops = appendUvarint(ops, 0)
-	if _, err := applyDeltaOps(nil, old, ops, 10); err == nil {
-		t.Fatalf("short reconstruction accepted")
-	}
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }

@@ -259,7 +259,7 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 		// skips it without a sequence number (ServeConn). A mid-stream
 		// attach on an established connection is a no-op by design.
 	case *xproto.UpgradeWireReq:
-		// The wire-v2 capability exchange never reaches dispatch either:
+		// The wire-v2 version exchange never reaches dispatch either:
 		// the request loop consumes it without a sequence number and
 		// answers with a KindWireAck frame (handleUpgradeWire). A
 		// mid-stream upgrade on an established connection is a no-op.

@@ -244,18 +244,15 @@ type conn struct {
 	seq  uint64
 	once sync.Once
 
-	// Wire protocol v2 state (docs/pipelining.md, "Wire protocol v2").
-	// The receive half — wireRx, the delta cache and the decode
-	// scratch — is owned by the request-loop goroutine exclusively and
-	// needs no lock. wireCaps is written there too, before the upgrade
-	// sentinel is queued; the writer goroutine reads it only after
-	// dequeuing the sentinel, so the channel orders the two. Codec
-	// state lives and dies with the conn: session teardown (farm
-	// eviction, Server.Close) severs the connection and drops it.
-	wireRx   bool
-	wireCaps byte
-	rxCache  *xproto.DeltaCache
-	rxSeg    []byte
+	// Wire protocol v2 state (docs/pipelining.md, "Wire protocol v2"):
+	// the receive half — wireRx and the decode scratch — is owned by
+	// the request-loop goroutine exclusively and needs no lock. The
+	// writer goroutine learns of the upgrade from the wireTxSentinel
+	// instead. Codec state lives and dies with the conn: session
+	// teardown (farm eviction, Server.Close) severs the connection and
+	// drops it.
+	wireRx bool
+	rxSeg  []byte
 
 	// metrics holds this connection's view of the same counter and
 	// histogram names the server registry aggregates, plus
@@ -494,11 +491,9 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// Once the request loop accepts a v2 upgrade it queues the
 	// wireTxSentinel; everything dequeued before the sentinel is written
 	// in v1 framing (the setup block and the upgrade ack must be), and
-	// every batch after it is wrapped in a checksummed — and, when the
-	// client asked for it, compressed — KindWireSeg envelope. Small
-	// batches stay unwrapped: the v2 client accepts both framings on the
-	// same stream (no delta runs in this direction, so there is no cache
-	// to keep in sync).
+	// every batch after it is wrapped in a checksummed, compressed
+	// KindWireSeg envelope. Small batches stay unwrapped: the v2 client
+	// accepts both framings on the same stream.
 	go func() {
 		var batch, seg []byte
 		v2 := false
@@ -541,11 +536,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 				out := batch
 				wireRaw.Add(uint64(len(batch)))
 				if v2 && len(batch) >= wireWrapMin {
-					tryCompress := c.wireCaps&xproto.WireCapCompress != 0
 					var compressed bool
-					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch, tryCompress)
+					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch)
 					wireSegs.Inc()
-					if tryCompress && !compressed {
+					if !compressed {
 						wireSkip.Inc()
 					}
 					out = seg
@@ -609,15 +603,15 @@ loop:
 			// skipping keeps both sides' numbering in lockstep.
 			continue
 		case xproto.OpUpgradeWire:
-			// The v2 capability exchange follows the attach idiom: no
+			// The v2 version exchange follows the attach idiom: no
 			// sequence number on either side (the client writes it before
 			// its Display exists), answered out-of-band with a KindWireAck.
 			s.handleUpgradeWire(c, payload)
 			continue
 		case xproto.OpWireSeg:
 			// A v2 segment of batched requests. Decode failure is fatal:
-			// the envelope checksum or the delta cache no longer vouches
-			// for the stream, so sever rather than dispatch garbage.
+			// the envelope checksum or the framing no longer vouches for
+			// the stream, so sever rather than dispatch garbage.
 			if err := s.serveWireSeg(c, payload); err != nil {
 				s.metrics.Counter("wire.decode.errors").Inc()
 				c.metrics.Counter("wire.decode.errors").Inc()
@@ -717,9 +711,9 @@ const wireWrapMin = 128
 // signal; the pointee is never touched.
 var wireTxSentinel = new([]byte)
 
-// handleUpgradeWire answers the OpUpgradeWire capability exchange. Like
+// handleUpgradeWire answers the OpUpgradeWire version exchange. Like
 // the attach handshake it carries no sequence number on either side.
-// The ack ([u8 version][u8 caps]) is queued behind the setup block that
+// The ack ([u8 version]) is queued behind the setup block that
 // ServeConn already enqueued, so the client always reads setup first;
 // the tx-upgrade sentinel is queued after the ack, so the ack itself
 // still crosses in v1 framing.
@@ -728,19 +722,12 @@ func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 	r := xproto.NewReader(payload)
 	req.Decode(r)
 	accept := r.Err() == nil && req.Version >= 2 && s.wireV2.Load()
-	ver, caps := byte(1), byte(0)
+	ver := byte(1)
 	if accept {
 		ver = 2
-		caps = req.Caps & (xproto.WireCapCompress | xproto.WireCapDelta)
 		c.wireRx = true
-		c.wireCaps = caps
-		c.rxCache = xproto.NewDeltaCache()
 	}
-	w := xproto.AcquireWriter()
-	w.PutU8(ver)
-	w.PutU8(caps)
-	c.enqueueFrame(xproto.KindWireAck, w.Bytes(), true)
-	xproto.ReleaseWriter(w)
+	c.enqueueFrame(xproto.KindWireAck, []byte{ver}, true)
 	if accept {
 		c.enqueueBuf(wireTxSentinel, true, false)
 	}
@@ -748,7 +735,7 @@ func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 
 // serveWireSeg decodes one v2 segment and serves each inner request
 // through the standard pipeline. Any error means the stream can no
-// longer be trusted (checksum mismatch, cache desync, torn framing) and
+// longer be trusted (checksum mismatch, torn framing) and
 // the caller severs the connection — corruption degrades to a clean
 // connection loss, never to a garbled request reaching a handler.
 func (s *Server) serveWireSeg(c *conn, payload []byte) error {
@@ -760,7 +747,7 @@ func (s *Server) serveWireSeg(c *conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.rxCache.DecodeRequestSegment(raw, func(op uint16, pl []byte) error {
+	return xproto.WalkRequestFrames(raw, func(op uint16, pl []byte) error {
 		switch op {
 		case xproto.OpAttachSession, xproto.OpUpgradeWire, xproto.OpWireSeg:
 			// Handshake opcodes are pre-setup, outer-framing-only; nested

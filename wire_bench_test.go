@@ -40,7 +40,7 @@ func TestEmitWireBench(t *testing.T) {
 	}
 
 	// runStorm drives the rectangle storm: fills cycling through varying
-	// geometries (the repeated-request shape the delta codec targets),
+	// geometries (many small, similar requests: what flate collapses),
 	// closed by one Sync so every byte has crossed the wire on return.
 	runStorm := func(t *testing.T, d *xclient.Display) {
 		t.Helper()
