@@ -62,10 +62,12 @@ func TestGoldenHumanOutput(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s", code, out)
 	}
-	want := fixtures + `/metricsreg/metrics.go:32:12: metric "undocumented.count" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md) [metrics]
-` + fixtures + `/metricsreg/metrics.go:36:12: metric name is dynamic (not a string literal, package const, wrapper parameter, or "prefix."+expr) and cannot be checked against the registry [metrics]
-` + fixtures + `/metricsreg/registry.md:12:1: documented metric "ghost.metric" is not constructed anywhere in the scanned Go code (stale registry entry?) [metrics]
-tkcheck: 3 problem(s)
+	want := fixtures + `/metricsreg/metrics.go:34:27: metric "undocumented.count" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md) [metrics]
+` + fixtures + `/metricsreg/metrics.go:40:17: metric name is dynamic (not a string literal, package const, or "prefix."+expr) and cannot be checked against the registry [metrics]
+` + fixtures + `/metricsreg/metrics.go:45:17: metric name is dynamic (not a string literal, package const, or "prefix."+expr) and cannot be checked against the registry [metrics]
+` + fixtures + `/metricsreg/metrics.go:50:2: metric recorded by name: resolve it to a handle when its owner is constructed and record through the handle [metrics]
+` + fixtures + `/metricsreg/registry.md:11:1: documented metric "ghost.metric" is not constructed anywhere in the scanned Go code (stale registry entry?) [metrics]
+tkcheck: 5 problem(s)
 `
 	if out != want {
 		t.Errorf("stdout mismatch:\ngot:\n%s\nwant:\n%s", out, want)
@@ -88,27 +90,43 @@ func TestGoldenJSONOutput(t *testing.T) {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s", code, out)
 	}
 	want := `{
-  "problems": 3,
+  "problems": 5,
   "diagnostics": [
     {
       "file": "` + fixtures + `/metricsreg/metrics.go",
-      "line": 32,
-      "col": 12,
+      "line": 34,
+      "col": 27,
       "analyzer": "metrics",
       "severity": "error",
       "message": "metric \"undocumented.count\" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md)"
     },
     {
       "file": "` + fixtures + `/metricsreg/metrics.go",
-      "line": 36,
-      "col": 12,
+      "line": 40,
+      "col": 17,
       "analyzer": "metrics",
       "severity": "error",
-      "message": "metric name is dynamic (not a string literal, package const, wrapper parameter, or \"prefix.\"+expr) and cannot be checked against the registry"
+      "message": "metric name is dynamic (not a string literal, package const, or \"prefix.\"+expr) and cannot be checked against the registry"
+    },
+    {
+      "file": "` + fixtures + `/metricsreg/metrics.go",
+      "line": 45,
+      "col": 17,
+      "analyzer": "metrics",
+      "severity": "error",
+      "message": "metric name is dynamic (not a string literal, package const, or \"prefix.\"+expr) and cannot be checked against the registry"
+    },
+    {
+      "file": "` + fixtures + `/metricsreg/metrics.go",
+      "line": 50,
+      "col": 2,
+      "analyzer": "metrics",
+      "severity": "error",
+      "message": "metric recorded by name: resolve it to a handle when its owner is constructed and record through the handle"
     },
     {
       "file": "` + fixtures + `/metricsreg/registry.md",
-      "line": 12,
+      "line": 11,
       "col": 1,
       "analyzer": "metrics",
       "severity": "error",

@@ -60,6 +60,7 @@ type Conn struct {
 	sc Scenario
 
 	metrics *obs.Registry
+	ctr     faultCounters // handles into metrics
 	total   atomic.Uint64 // every injected fault, all kinds
 	killed  atomic.Bool
 
@@ -86,8 +87,10 @@ func Wrap(c net.Conn, sc Scenario, m *obs.Registry) *Conn {
 		Conn:    c,
 		sc:      sc,
 		metrics: m,
-		wrng:    rand.New(rand.NewSource(sc.Seed)),
-		rrng:    rand.New(rand.NewSource(sc.Seed + 1)),
+		ctr: faultCounters{m.Counter(CtrJitter), m.Counter(CtrShortWrite), m.Counter(CtrShortRead),
+			m.Counter(CtrCorruptWrite), m.Counter(CtrCorruptRead), m.Counter(CtrStall), m.Counter(CtrKill)},
+		wrng: rand.New(rand.NewSource(sc.Seed)),
+		rrng: rand.New(rand.NewSource(sc.Seed + 1)),
 	}
 }
 
@@ -98,9 +101,12 @@ func (c *Conn) Metrics() *obs.Registry { return c.metrics }
 // kinds. The per-kind counters in Metrics always sum to this value.
 func (c *Conn) Total() uint64 { return c.total.Load() }
 
-// inject records one injected fault of the named kind.
-func (c *Conn) inject(name string) {
-	c.metrics.Counter(name).Inc()
+// faultCounters holds one handle per fault kind, in CounterNames order.
+type faultCounters struct{ jitter, shortWrite, shortRead, corruptWrite, corruptRead, stall, kill *obs.Counter }
+
+// inject records one injected fault of the kind ctr counts.
+func (c *Conn) inject(ctr *obs.Counter) {
+	ctr.Inc()
 	c.total.Add(1)
 }
 
@@ -116,7 +122,7 @@ func (e errKilled) Error() string {
 // crashed peer's would).
 func (c *Conn) kill() {
 	if c.killed.CompareAndSwap(false, true) {
-		c.inject(CtrKill)
+		c.inject(c.ctr.kill)
 		c.Conn.Close()
 	}
 }
@@ -131,7 +137,7 @@ func (c *Conn) maybeJitter(rng *rand.Rand) {
 	if c.sc.Jitter <= 0 || !chance(rng, c.sc.JitterProb) {
 		return
 	}
-	c.inject(CtrJitter)
+	c.inject(c.ctr.jitter)
 	time.Sleep(time.Duration(rng.Int63n(int64(c.sc.Jitter))))
 }
 
@@ -152,7 +158,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 	buf := p
 	if chance(c.wrng, c.sc.CorruptWriteProb) && len(p) > 0 {
-		c.inject(CtrCorruptWrite)
+		c.inject(c.ctr.corruptWrite)
 		buf = append([]byte(nil), p...)
 		buf[c.wrng.Intn(len(buf))] ^= 1 << uint(c.wrng.Intn(8))
 	}
@@ -183,7 +189,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if chance(c.wrng, c.sc.ShortWriteProb) && len(buf) > 1 {
 		// Tear the buffer: two separate wire writes, so the peer sees a
 		// segment boundary in the middle of a frame.
-		c.inject(CtrShortWrite)
+		c.inject(c.ctr.shortWrite)
 		cut := 1 + c.wrng.Intn(len(buf)-1)
 		if _, err := c.Conn.Write(buf[:cut]); err != nil {
 			return 0, err
@@ -268,16 +274,16 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if stall {
 		// A one-way stall: the reading side goes quiet while the writer
 		// keeps going — the "wedged peer" shape of the X-Files paper.
-		c.inject(CtrStall)
+		c.inject(c.ctr.stall)
 		time.Sleep(c.sc.StallDur)
 	}
 	if short {
-		c.inject(CtrShortRead)
+		c.inject(c.ctr.shortRead)
 		p = p[:shortTo]
 	}
 	n, err := c.Conn.Read(p)
 	if corrupt && n > 0 {
-		c.inject(CtrCorruptRead)
+		c.inject(c.ctr.corruptRead)
 		p[corruptAt%int64(n)] ^= 1 << uint(corruptAt%8)
 	}
 	return n, err

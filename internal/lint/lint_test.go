@@ -231,16 +231,31 @@ func TestPoolFixture(t *testing.T) {
 }
 
 // TestMetricsRegistryFixture exercises the metrics-name registry: the
-// documented literal, const, wrapper and "prefix."+expr names all
-// match, the undocumented counter and the stale registry entry are
-// flagged from their respective sides, and a truly dynamic name is
-// reported as uncheckable.
+// documented literal, const and "prefix."+expr names all match, the
+// undocumented counter and the stale registry entry are flagged from
+// their respective sides, a forwarded parameter and a computed name
+// are reported as uncheckable, and recording by name through a chained
+// accessor call is reported — outside _test.go files only, so linting
+// the fixture's test file too adds nothing.
 func TestMetricsRegistryFixture(t *testing.T) {
-	assertDiags(t, checkFixture(t, filepath.Join("testdata", "metricsreg")), []string{
-		`testdata/metricsreg/metrics.go:32:12: metric "undocumented.count" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md) [metrics]`,
-		`testdata/metricsreg/metrics.go:36:12: metric name is dynamic (not a string literal, package const, wrapper parameter, or "prefix."+expr) and cannot be checked against the registry [metrics]`,
-		`testdata/metricsreg/registry.md:12:1: documented metric "ghost.metric" is not constructed anywhere in the scanned Go code (stale registry entry?) [metrics]`,
-	})
+	want := []string{
+		`testdata/metricsreg/metrics.go:34:27: metric "undocumented.count" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md) [metrics]`,
+		`testdata/metricsreg/metrics.go:40:17: metric name is dynamic (not a string literal, package const, or "prefix."+expr) and cannot be checked against the registry [metrics]`,
+		`testdata/metricsreg/metrics.go:45:17: metric name is dynamic (not a string literal, package const, or "prefix."+expr) and cannot be checked against the registry [metrics]`,
+		`testdata/metricsreg/metrics.go:50:2: metric recorded by name: resolve it to a handle when its owner is constructed and record through the handle [metrics]`,
+		`testdata/metricsreg/registry.md:11:1: documented metric "ghost.metric" is not constructed anywhere in the scanned Go code (stale registry entry?) [metrics]`,
+	}
+	assertDiags(t, checkFixture(t, filepath.Join("testdata", "metricsreg")), want)
+	r := NewRunner()
+	r.IncludeTests = true
+	if err := r.Check(filepath.Join("testdata", "metricsreg")); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range r.Finish() {
+		got = append(got, d.String())
+	}
+	assertDiags(t, got, want)
 }
 
 // TestDeterministicParallelOrder runs the same multi-target check

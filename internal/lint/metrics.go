@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,11 +19,15 @@ import (
 //
 // Code side: string arguments to .Counter(...) / .Gauge(...) /
 // .Histogram(...) calls. Besides plain literals the collector resolves
-// package-level string constants (fault's CtrJitter et al), one level
-// of wrapper function (a function that forwards a string parameter
-// into a metric accessor names metrics at its call sites, like
-// fault.Conn.inject), and "prefix." + expr concatenations, which
-// normalize to the pattern "prefix.*".
+// package-level string constants (fault's CtrJitter et al) and
+// "prefix." + expr concatenations, which normalize to the pattern
+// "prefix.*". Any other argument is reported as dynamic.
+//
+// Recording idiom: every metric is resolved to a handle when its owner
+// is constructed and recorded through the handle. In non-test code an
+// accessor call used directly as a method receiver —
+// reg.Counter("x").Inc() — is a by-name lookup on every call and is
+// reported.
 //
 // Doc side: fenced code blocks tagged "metrics-registry" in Markdown
 // files (docs/observability.md holds the canonical one). Each
@@ -64,16 +69,19 @@ func (m *MetricsFacts) Merge(other *MetricsFacts) {
 	m.codeSeen = m.codeSeen || other.codeSeen
 	m.docSeen = m.docSeen || other.docSeen
 	for name, site := range other.code {
-		if cur, ok := m.code[name]; !ok || earlierSite(site, cur) {
-			m.code[name] = site
-		}
+		keepEarliest(m.code, name, site)
 	}
 	for name, site := range other.doc {
-		if cur, ok := m.doc[name]; !ok || earlierSite(site, cur) {
-			m.doc[name] = site
-		}
+		keepEarliest(m.doc, name, site)
 	}
 	m.extra = append(m.extra, other.extra...)
+}
+
+// keepEarliest records site for name unless an earlier one is known.
+func keepEarliest(sites map[string]metricSite, name string, site metricSite) {
+	if cur, ok := sites[name]; !ok || earlierSite(site, cur) {
+		sites[name] = site
+	}
 }
 
 func earlierSite(a, b metricSite) bool {
@@ -88,53 +96,48 @@ func earlierSite(a, b metricSite) bool {
 
 var metricAccessors = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
-// CollectPackage gathers metric names from one package's files.
+// CollectPackage gathers metric names from one package's files and
+// reports by-name recording outside tests.
 func (m *MetricsFacts) CollectPackage(fset *token.FileSet, files []*ast.File) {
 	consts := packageStringConsts(files)
-	wrappers := metricWrappers(files)
 	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			params := paramNames(fd.Type)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				var arg ast.Expr
-				switch {
-				case metricAccessors[sel.Sel.Name] && len(call.Args) == 1:
-					arg = call.Args[0]
-				default:
-					idx, isWrapper := wrappers[sel.Sel.Name]
-					if !isWrapper || idx >= len(call.Args) {
-						return true
-					}
-					arg = call.Args[idx]
-				}
-				m.recordCodeName(fset, arg, consts, params)
+		test := strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			if recv, ok := call.Fun.(*ast.SelectorExpr); ok && !test && isMetricAccessor(recv.X) {
+				p := fset.Position(recv.X.Pos())
+				m.extra = append(m.extra, Diag{
+					File: p.Filename, Line: p.Line, Col: p.Column, Rule: "metrics",
+					Msg: "metric recorded by name: resolve it to a handle when its owner is constructed and record through the handle",
+				})
+			}
+			if isMetricAccessor(call) {
+				m.recordCodeName(fset, call.Args[0], consts)
+			}
+			return true
+		})
 	}
 	m.codeSeen = true
 }
 
-func (m *MetricsFacts) recordCodeName(fset *token.FileSet, arg ast.Expr, consts map[string]string, params map[string]bool) {
+// isMetricAccessor reports whether e is a one-argument .Counter,
+// .Gauge or .Histogram call.
+func isMetricAccessor(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && metricAccessors[sel.Sel.Name]
+}
+
+func (m *MetricsFacts) recordCodeName(fset *token.FileSet, arg ast.Expr, consts map[string]string) {
 	p := fset.Position(arg.Pos())
 	site := metricSite{file: p.Filename, line: p.Line, col: p.Column}
-	add := func(name string) {
-		if cur, ok := m.code[name]; !ok || earlierSite(site, cur) {
-			m.code[name] = site
-		}
-	}
+	add := func(name string) { keepEarliest(m.code, name, site) }
 	switch v := arg.(type) {
 	case *ast.BasicLit:
 		if v.Kind == token.STRING {
@@ -146,11 +149,6 @@ func (m *MetricsFacts) recordCodeName(fset *token.FileSet, arg ast.Expr, consts 
 	case *ast.Ident:
 		if s, ok := consts[v.Name]; ok {
 			add(s)
-			return
-		}
-		if params[v.Name] {
-			// The enclosing function is a name-forwarding wrapper; its
-			// call sites supply the names.
 			return
 		}
 	case *ast.BinaryExpr:
@@ -166,7 +164,7 @@ func (m *MetricsFacts) recordCodeName(fset *token.FileSet, arg ast.Expr, consts 
 	}
 	m.extra = append(m.extra, Diag{
 		File: p.Filename, Line: p.Line, Col: p.Column, Rule: "metrics",
-		Msg: "metric name is dynamic (not a string literal, package const, wrapper parameter, or \"prefix.\"+expr) and cannot be checked against the registry",
+		Msg: "metric name is dynamic (not a string literal, package const, or \"prefix.\"+expr) and cannot be checked against the registry",
 	})
 }
 
@@ -202,68 +200,6 @@ func packageStringConsts(files []*ast.File) map[string]string {
 	return consts
 }
 
-// metricWrappers finds functions that forward a string parameter into
-// a metric accessor, mapping wrapper name to the forwarded parameter's
-// index. One level only: wrappers of wrappers are not resolved.
-func metricWrappers(files []*ast.File) map[string]int {
-	wrappers := make(map[string]int)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			idx := paramIndexes(fd.Type)
-			if len(idx) == 0 {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !metricAccessors[sel.Sel.Name] || len(call.Args) != 1 {
-					return true
-				}
-				if id, ok := call.Args[0].(*ast.Ident); ok {
-					if i, isParam := idx[id.Name]; isParam {
-						wrappers[fd.Name.Name] = i
-					}
-				}
-				return true
-			})
-		}
-	}
-	return wrappers
-}
-
-func paramIndexes(ft *ast.FuncType) map[string]int {
-	idx := make(map[string]int)
-	if ft.Params == nil {
-		return idx
-	}
-	i := 0
-	for _, p := range ft.Params.List {
-		for _, n := range p.Names {
-			idx[n.Name] = i
-			i++
-		}
-		if len(p.Names) == 0 {
-			i++
-		}
-	}
-	return idx
-}
-
-func paramNames(ft *ast.FuncType) map[string]bool {
-	names := make(map[string]bool)
-	for n := range paramIndexes(ft) {
-		names[n] = true
-	}
-	return names
-}
-
 var (
 	fenceRe       = regexp.MustCompile("^```+")
 	placeholderRe = regexp.MustCompile(`<[^<>]*>`)
@@ -292,10 +228,7 @@ func (m *MetricsFacts) CollectDoc(path string, src string) {
 		}
 		name := strings.Fields(trimmed)[0]
 		name = placeholderRe.ReplaceAllString(name, "*")
-		site := metricSite{file: path, line: i + 1, col: 1}
-		if cur, ok := m.doc[name]; !ok || earlierSite(site, cur) {
-			m.doc[name] = site
-		}
+		keepEarliest(m.doc, name, metricSite{file: path, line: i + 1, col: 1})
 	}
 }
 
@@ -324,40 +257,22 @@ func (m *MetricsFacts) Diags() []Diag {
 	if !m.codeSeen || !m.docSeen {
 		return diags
 	}
-	codeNames := sortedKeys(m.code)
-	docNames := sortedKeys(m.doc)
-	for _, cn := range codeNames {
-		matched := false
-		for _, dn := range docNames {
-			if nameMatches(cn, dn) {
-				matched = true
-				break
+	codeNames, docNames := sortedKeys(m.code), sortedKeys(m.doc)
+	unmatched := func(sites map[string]metricSite, names, others []string, match func(name, other string) bool, format string) {
+		for _, name := range names {
+			if !slices.ContainsFunc(others, func(other string) bool { return match(name, other) }) {
+				site := sites[name]
+				diags = append(diags, Diag{
+					File: site.file, Line: site.line, Col: site.col, Rule: "metrics",
+					Msg: fmt.Sprintf(format, name),
+				})
 			}
 		}
-		if !matched {
-			site := m.code[cn]
-			diags = append(diags, Diag{
-				File: site.file, Line: site.line, Col: site.col, Rule: "metrics",
-				Msg: fmt.Sprintf("metric %q is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md)", cn),
-			})
-		}
 	}
-	for _, dn := range docNames {
-		matched := false
-		for _, cn := range codeNames {
-			if nameMatches(cn, dn) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			site := m.doc[dn]
-			diags = append(diags, Diag{
-				File: site.file, Line: site.line, Col: site.col, Rule: "metrics",
-				Msg: fmt.Sprintf("documented metric %q is not constructed anywhere in the scanned Go code (stale registry entry?)", dn),
-			})
-		}
-	}
+	unmatched(m.code, codeNames, docNames, nameMatches,
+		"metric %q is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md)")
+	unmatched(m.doc, docNames, codeNames, func(dn, cn string) bool { return nameMatches(cn, dn) },
+		"documented metric %q is not constructed anywhere in the scanned Go code (stale registry entry?)")
 	return diags
 }
 

@@ -1,6 +1,7 @@
 // Package fixtures exercises the metrics-registry analyzer: literal
-// names, a package const, a one-level wrapper, the "prefix."+expr
-// pattern, an undocumented name, and a dynamic name it cannot check.
+// names, a package const, the "prefix."+expr pattern, an undocumented
+// name, dynamic names it cannot check (a forwarded parameter among
+// them), and recording by name through a chained accessor call.
 package fixtures
 
 type counter struct{}
@@ -18,20 +19,33 @@ func (registry) Histogram(name string) histogram { return histogram{} }
 
 const ctrConst = "documented.const"
 
-// bump forwards a name into the registry: its call sites name metrics.
-func (r registry) bump(name string) {
-	r.Counter(name).Inc()
+// handles is the recording idiom: every metric resolved once.
+type handles struct {
+	count, konst, op, undocumented counter
+	lat                            histogram
 }
 
-func record(r registry, opName func() string) {
-	r.Counter("documented.count").Inc()
-	r.Histogram("documented.lat").Observe(1)
-	r.Counter(ctrConst).Inc()
-	r.Counter("requests." + opName()).Inc()
-	r.bump("documented.wrapped")
-	r.Counter("undocumented.count").Inc()
+func resolve(r registry, opName func() string) handles {
+	return handles{
+		count:        r.Counter("documented.count"),
+		lat:          r.Histogram("documented.lat"),
+		konst:        r.Counter(ctrConst),
+		op:           r.Counter("requests." + opName()),
+		undocumented: r.Counter("undocumented.count"),
+	}
+}
+
+// bump forwards a name into the registry; the name is not checkable.
+func (r registry) bump(name string) {
+	c := r.Counter(name)
+	c.Inc()
 }
 
 func recordDynamic(r registry, suffix string) {
-	r.Counter(suffix + ".made.up").Inc()
+	c := r.Counter(suffix + ".made.up")
+	c.Inc()
+}
+
+func recordByName(r registry) {
+	r.Counter("documented.count").Inc()
 }

@@ -47,8 +47,8 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Registry is a named set of metrics. All methods are safe for
-// concurrent use; metric accessors get-or-create, so instrumentation
-// sites never need registration boilerplate.
+// concurrent use; metric accessors get-or-create, and callers resolve
+// each handle once, when its owner is constructed.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter   // guarded by mu (the map; values are atomic)

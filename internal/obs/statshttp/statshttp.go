@@ -58,8 +58,9 @@ func NewMux(opts Options) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
+	reports := opts.Registry.Counter("slo.reports")
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		opts.Registry.Counter("slo.reports").Inc()
+		reports.Inc()
 		src := slo.Sources{Server: opts.Registry, Target: opts.Target}
 		if opts.Tracer != nil {
 			src.Spans = opts.Tracer.Spans()

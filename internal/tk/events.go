@@ -58,7 +58,7 @@ func (app *App) CreateTimerHandler(d time.Duration, fn func()) int {
 	e := &timerEntry{when: time.Now().Add(d), fn: fn, id: q.nextID, seq: q.nextSeq}
 	q.byID[e.id] = e
 	heap.Push(q, e)
-	app.Metrics().Gauge("tk.timers.depth").Set(int64(len(q.byID)))
+	app.m.timersDepth.Set(int64(len(q.byID)))
 	return e.id
 }
 
@@ -67,7 +67,7 @@ func (app *App) DeleteTimerHandler(id int) {
 	if e, ok := app.timers.byID[id]; ok {
 		e.fn = nil // cancelled; skipped when popped
 		delete(app.timers.byID, id)
-		app.Metrics().Gauge("tk.timers.depth").Set(int64(len(app.timers.byID)))
+		app.m.timersDepth.Set(int64(len(app.timers.byID)))
 	}
 }
 
@@ -75,7 +75,7 @@ func (app *App) DeleteTimerHandler(id int) {
 // when-idle handlers).
 func (app *App) DoWhenIdle(fn func()) {
 	app.idle = append(app.idle, fn)
-	app.Metrics().Gauge("tk.idle.depth").Set(int64(len(app.idle)))
+	app.m.idleDepth.Set(int64(len(app.idle)))
 }
 
 // Post delivers fn into the event loop from any goroutine: the toolkit's
@@ -117,7 +117,7 @@ func (app *App) runDueTimers() bool {
 		}
 	}
 	if ran {
-		app.Metrics().Gauge("tk.timers.depth").Set(int64(len(q.byID)))
+		app.m.timersDepth.Set(int64(len(q.byID)))
 	}
 	return ran
 }
@@ -130,7 +130,7 @@ func (app *App) runIdle() bool {
 	}
 	batch := app.idle
 	app.idle = nil
-	app.Metrics().Gauge("tk.idle.depth").Set(0)
+	app.m.idleDepth.Set(0)
 	for _, fn := range batch {
 		fn() // may call DoWhenIdle, which updates the gauge again
 	}
@@ -300,10 +300,9 @@ func (app *App) UpdateIdleTasks() {
 // DispatchEvent routes one X event: structure bookkeeping, C-level
 // handlers, then Tcl bindings.
 func (app *App) DispatchEvent(ev *xproto.Event) {
-	m := app.Metrics()
-	m.Counter("tk.events").Inc()
+	app.m.events.Inc()
 	begin := time.Now()
-	defer func() { m.Histogram("tk.dispatch").Observe(time.Since(begin)) }()
+	defer func() { app.m.dispatch.Observe(time.Since(begin)) }()
 	if tr := app.Spans; tr != nil {
 		// Events have no protocol sequence number on this side, so the
 		// toolkit samples on its own dispatch counter; the span's start
@@ -318,7 +317,7 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 					Seq: seq, Name: "tk.event", Side: "tk", Op: op,
 					Start: begin.UnixNano(), Dur: int64(time.Since(begin)),
 				})
-				m.Counter("trace.spans").Inc()
+				app.m.traceSpans.Inc()
 			}()
 		}
 	}

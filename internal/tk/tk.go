@@ -194,6 +194,45 @@ type App struct {
 	atomSelProp  xproto.Atom
 
 	destroyed atomic.Bool
+
+	m *tkMetrics // handles into Metrics(), immutable after NewApp
+}
+
+// tkMetrics are the toolkit's handles into the display's registry,
+// resolved once in NewApp so no path records by name.
+type tkMetrics struct {
+	events, traceSpans, sendTimeout *obs.Counter
+	timersDepth, idleDepth          *obs.Gauge
+	dispatch, send                  *obs.Histogram
+
+	// Resource-cache effectiveness (§3.3), one hit/miss pair per cache.
+	colorHits, colorMisses   *obs.Counter
+	fontHits, fontMisses     *obs.Counter
+	cursorHits, cursorMisses *obs.Counter
+	bitmapHits, bitmapMisses *obs.Counter
+	gcHits, gcMisses         *obs.Counter
+}
+
+func newTkMetrics(reg *obs.Registry) *tkMetrics {
+	return &tkMetrics{
+		events:       reg.Counter("tk.events"),
+		dispatch:     reg.Histogram("tk.dispatch"),
+		traceSpans:   reg.Counter("trace.spans"),
+		timersDepth:  reg.Gauge("tk.timers.depth"),
+		idleDepth:    reg.Gauge("tk.idle.depth"),
+		send:         reg.Histogram("tk.send"),
+		sendTimeout:  reg.Counter("tk.send.timeout"),
+		colorHits:    reg.Counter("tk.cache.color.hits"),
+		colorMisses:  reg.Counter("tk.cache.color.misses"),
+		fontHits:     reg.Counter("tk.cache.font.hits"),
+		fontMisses:   reg.Counter("tk.cache.font.misses"),
+		cursorHits:   reg.Counter("tk.cache.cursor.hits"),
+		cursorMisses: reg.Counter("tk.cache.cursor.misses"),
+		bitmapHits:   reg.Counter("tk.cache.bitmap.hits"),
+		bitmapMisses: reg.Counter("tk.cache.bitmap.misses"),
+		gcHits:       reg.Counter("tk.cache.gc.hits"),
+		gcMisses:     reg.Counter("tk.cache.gc.misses"),
+	}
 }
 
 type sendResult struct {
@@ -262,6 +301,7 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 		timers:      newTimerQueue(),
 		posted:      make(chan func(), 256),
 		sendResults: make(map[int]sendResult),
+		m:           newTkMetrics(d.Metrics()),
 	}
 
 	// Route the display's asynchronous errors (X errors for one-way
@@ -331,12 +371,9 @@ func (app *App) selectStructure(w *Window) {
 	app.Disp.SelectInput(w.XID, w.selectedMask)
 }
 
-// Metrics returns the application's metrics registry. It is the
-// display connection's registry, so protocol counters ("requests",
-// "requests.<OpName>", "roundtrips", the "roundtrip" histogram) and
-// toolkit metrics ("tk.events", "tk.dispatch", cache hit/miss
-// counters, queue-depth gauges) share one namespace — what the
-// tkstats command reports.
+// Metrics returns the application's metrics registry: the display
+// connection's, so protocol and toolkit metrics share one namespace —
+// what the tkstats command reports.
 func (app *App) Metrics() *obs.Registry { return app.Disp.Metrics() }
 
 // Quit asks the event loop to exit.

@@ -98,22 +98,10 @@ type Display struct {
 	// atomic so SetRoundTripTimeout may be called from any goroutine.
 	rtTimeout atomic.Int64
 
-	// metrics records client-side traffic: "requests" and per-opcode
-	// "requests.<OpName>" counters for everything sent, "async" for
-	// one-way requests, "roundtrips" and the "roundtrip" latency
-	// histogram for reply-bearing ones, "events" for deliveries. The
-	// pipelining layer adds the "inflight" gauge (waiters outstanding),
-	// the "pipelined" counter (reply-bearing requests issued while
-	// another was already in flight) and the "flush.batch" histogram
-	// (frames coalesced per wire write). The hardening layer adds
-	// "errors.async" (protocol errors nobody was waiting on),
-	// "roundtrip.timeout" (Cookie.Wait deadline expiries) and
-	// "protocol.corrupt" (unreadable frame headers, each fatal to the
-	// connection). The span layer adds "trace.sampled" (requests picked
-	// for span recording) and "trace.spans" (spans recorded). The
-	// pointer is immutable after Open; the registry is safe for
-	// concurrent use.
+	// metrics records client-side traffic; m holds its handles. Both
+	// are immutable after Open.
 	metrics *obs.Registry
+	m       *clientMetrics
 
 	// tracer, when set, records spans for sampled reply-bearing requests
 	// (see internal/obs/trace). Atomic so SetTracer may race requests.
@@ -138,16 +126,47 @@ type Display struct {
 	// (flushThresholdLocked). 0 = no samples yet (and always 0 on v1,
 	// whose reply path skips the update entirely).
 	rttEwma atomic.Int64
+}
 
-	// wire.* metric handles, pre-resolved at Open so the send/flush hot
-	// paths pay atomic ops, not map lookups. Immutable after Open.
-	wireSegs       *obs.Counter
-	wireBytesRaw   *obs.Counter
-	wireBytesWire  *obs.Counter
-	wireSkipped    *obs.Counter
-	wireDecodeErrs *obs.Counter
-	wireThreshGa   *obs.Gauge
-	wireRTTGa      *obs.Gauge
+// clientMetrics are the display's metric handles, resolved once in
+// OpenWith so no path records by name.
+type clientMetrics struct {
+	requests, async, roundtrips, events, pipelined *obs.Counter
+	roundtripTimeout, errorsAsync, protocolCorrupt *obs.Counter
+	traceSampled, traceSpans                       *obs.Counter
+	wireSegs, wireBytesRaw, wireBytesWire          *obs.Counter
+	wireSkipped, wireDecodeErrs                    *obs.Counter
+	inflight, wireThreshold, wireRTT               *obs.Gauge
+	roundtrip, flushBatch                          *obs.Histogram
+
+	ops [256]*obs.Counter // requests.<OpName>; nil for unnamed opcodes
+}
+
+func newClientMetrics(reg *obs.Registry) *clientMetrics {
+	m := &clientMetrics{
+		requests:         reg.Counter("requests"),
+		async:            reg.Counter("async"),
+		roundtrips:       reg.Counter("roundtrips"),
+		roundtrip:        reg.Histogram("roundtrip"),
+		roundtripTimeout: reg.Counter("roundtrip.timeout"),
+		events:           reg.Counter("events"),
+		inflight:         reg.Gauge("inflight"),
+		pipelined:        reg.Counter("pipelined"),
+		flushBatch:       reg.Histogram("flush.batch"),
+		errorsAsync:      reg.Counter("errors.async"),
+		protocolCorrupt:  reg.Counter("protocol.corrupt"),
+		traceSampled:     reg.Counter("trace.sampled"),
+		traceSpans:       reg.Counter("trace.spans"),
+		wireSegs:         reg.Counter("wire.segments.v2"),
+		wireBytesRaw:     reg.Counter("wire.bytes.raw"),
+		wireBytesWire:    reg.Counter("wire.bytes.wire"),
+		wireSkipped:      reg.Counter("wire.compress.skipped"),
+		wireDecodeErrs:   reg.Counter("wire.decode.errors"),
+		wireThreshold:    reg.Gauge("wire.flush.threshold"),
+		wireRTT:          reg.Gauge("wire.rtt.ewma"),
+	}
+	xproto.EachOp(func(op uint16, name string) { m.ops[op] = reg.Counter("requests." + name) })
+	return m
 }
 
 const eventChanSize = 64
@@ -219,6 +238,7 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		stop:       make(chan struct{}),
 		metrics:    obs.NewRegistry(),
 	}
+	d.m = newClientMetrics(d.metrics)
 	d.evCond = sync.NewCond(&d.evMu)
 	d.rtTimeout.Store(int64(DefaultRoundTripTimeout))
 	// The setup block arrives before anything else. Bound the wait so a
@@ -283,13 +303,6 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		// A version-1 ack is the transparent fallback: the server
 		// declined and both sides continue in v1 framing.
 	}
-	d.wireSegs = d.metrics.Counter("wire.segments.v2")
-	d.wireBytesRaw = d.metrics.Counter("wire.bytes.raw")
-	d.wireBytesWire = d.metrics.Counter("wire.bytes.wire")
-	d.wireSkipped = d.metrics.Counter("wire.compress.skipped")
-	d.wireDecodeErrs = d.metrics.Counter("wire.decode.errors")
-	d.wireThreshGa = d.metrics.Gauge("wire.flush.threshold")
-	d.wireRTTGa = d.metrics.Gauge("wire.rtt.ewma")
 	go d.readLoop()
 	go d.feedEvents()
 	return d, nil
@@ -322,16 +335,6 @@ func Dial(addr string) (*Display, error) {
 // farm's default session.
 func OpenSession(conn net.Conn, session string) (*Display, error) {
 	return OpenWith(conn, Config{Session: session, Attach: true})
-}
-
-// DialSession connects to a display farm at a TCP address and attaches
-// to the named session.
-func DialSession(addr, session string) (*Display, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return OpenSession(conn, session)
 }
 
 // Close shuts the connection down.
@@ -400,8 +403,8 @@ func (d *Display) readLoop() {
 				derr = xproto.WalkServerFrames(raw, d.handleServerFrame)
 			}
 			if derr != nil {
-				d.wireDecodeErrs.Inc()
-				d.metrics.Counter("protocol.corrupt").Inc()
+				d.m.wireDecodeErrs.Inc()
+				d.m.protocolCorrupt.Inc()
 				d.conn.Close()
 				d.connLost(fmt.Errorf("xclient: protocol corruption: %w", derr))
 				return
@@ -411,7 +414,7 @@ func (d *Display) readLoop() {
 		if err := d.handleServerFrame(kind, payload); err != nil {
 			// Garbage where a frame header should be: the stream can no
 			// longer be trusted byte-for-byte. Fail cleanly.
-			d.metrics.Counter("protocol.corrupt").Inc()
+			d.m.protocolCorrupt.Inc()
 			d.conn.Close()
 			d.connLost(err)
 			return
@@ -436,7 +439,7 @@ func (d *Display) handleServerFrame(kind byte, payload []byte) error {
 			d.asyncError(fmt.Sprintf("malformed event: %v", r.Err()))
 			return nil
 		}
-		d.metrics.Counter("events").Inc()
+		d.m.events.Inc()
 		d.evSeen.Add(1)
 		d.evMu.Lock()
 		d.evQueue = append(d.evQueue, ev)
@@ -465,7 +468,7 @@ func (d *Display) connLost(err error) {
 		delete(d.waiters, seq)
 		ck.resolve(nil, err)
 	}
-	d.metrics.Gauge("inflight").Set(0)
+	d.m.inflight.Set(0)
 	d.pendMu.Unlock()
 }
 
@@ -483,7 +486,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 	ck := d.waiters[seq]
 	if ck != nil {
 		delete(d.waiters, seq)
-		d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+		d.m.inflight.Set(int64(len(d.waiters)))
 	}
 	d.pendMu.Unlock()
 	if ck == nil {
@@ -498,7 +501,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 	// server's simulated IPC latency — the quantity §3.3's caches exist
 	// to avoid paying.
 	elapsed := time.Since(ck.begin)
-	d.metrics.Histogram("roundtrip").Observe(elapsed)
+	d.m.roundtrip.Observe(elapsed)
 	if d.wireTx {
 		// Only the v2 flush controller consumes the EWMA; keep the v1
 		// reply path free of the extra CAS + gauge store.
@@ -511,7 +514,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 				Op:    xproto.OpName(ck.op),
 				Start: ck.begin.UnixNano(), Dur: int64(elapsed),
 			})
-			d.metrics.Counter("trace.spans").Inc()
+			d.m.traceSpans.Inc()
 		}
 	}
 	if kind == xproto.KindError {
@@ -592,7 +595,7 @@ func (d *Display) SetRoundTripTimeout(timeout time.Duration) {
 
 // asyncError records or reports a protocol error nobody is waiting on.
 func (d *Display) asyncError(msg string) {
-	d.metrics.Counter("errors.async").Inc()
+	d.m.errorsAsync.Inc()
 	if d.ErrorHandler != nil {
 		d.ErrorHandler(msg)
 		return
@@ -611,8 +614,7 @@ func (d *Display) TakeErrors() []string {
 	return errs
 }
 
-// Metrics returns the client-side registry (see the field doc for the
-// metric names).
+// Metrics returns the client-side registry.
 func (d *Display) Metrics() *obs.Registry { return d.metrics }
 
 // SetTracer attaches (or, with nil, detaches) a span tracer. The tracer
@@ -625,8 +627,10 @@ func (d *Display) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
 // (no per-request Writer or header allocation). Must be called with
 // d.mu held.
 func (d *Display) send(req xproto.Request) uint64 {
-	d.metrics.Counter("requests").Inc()
-	d.metrics.Counter("requests." + xproto.OpName(req.Op())).Inc()
+	d.m.requests.Inc()
+	if op := req.Op(); int(op) < len(d.m.ops) && d.m.ops[op] != nil {
+		d.m.ops[op].Inc()
+	}
 	d.seq++
 	d.wbuf = xproto.AppendRequestFrame(d.wbuf, req)
 	d.wcount++
@@ -641,7 +645,7 @@ func (d *Display) flushLocked() error {
 	}
 	frames := int64(d.wcount)
 	// flush.batch is a count (frames per flush), not a duration.
-	d.metrics.Histogram("flush.batch").ObserveCount(frames)
+	d.m.flushBatch.ObserveCount(frames)
 	d.wcount = 0
 	tracedSeq := d.tracedFlush
 	d.tracedFlush = 0
@@ -653,13 +657,13 @@ func (d *Display) flushLocked() error {
 		var compressed bool
 		d.segTx, compressed = xproto.AppendWireSegRequestFrame(d.segTx[:0], d.wbuf)
 		out = d.segTx
-		d.wireSegs.Inc()
+		d.m.wireSegs.Inc()
 		if !compressed {
-			d.wireSkipped.Inc()
+			d.m.wireSkipped.Inc()
 		}
 	}
-	d.wireBytesRaw.Add(uint64(len(d.wbuf)))
-	d.wireBytesWire.Add(uint64(len(out)))
+	d.m.wireBytesRaw.Add(uint64(len(d.wbuf)))
+	d.m.wireBytesWire.Add(uint64(len(out)))
 
 	if tr := d.tracer.Load(); tr != nil && tracedSeq != 0 {
 		bytes := int64(len(out))
@@ -671,7 +675,7 @@ func (d *Display) flushLocked() error {
 			Start: start, Dur: trace.Now() - start,
 			Args: []trace.Arg{{Key: "frames", Val: frames}, {Key: "bytes", Val: bytes}},
 		})
-		d.metrics.Counter("trace.spans").Inc()
+		d.m.traceSpans.Inc()
 		return err
 	}
 	_, err := d.conn.Write(out)
@@ -693,7 +697,7 @@ func (d *Display) observeRTT(ns int64) {
 			next = 1
 		}
 		if d.rttEwma.CompareAndSwap(cur, next) {
-			d.wireRTTGa.Set(next)
+			d.m.wireRTT.Set(next)
 			return
 		}
 	}
@@ -718,7 +722,7 @@ func (d *Display) flushThresholdLocked() int {
 	if th > 256<<10 {
 		th = 256 << 10
 	}
-	d.wireThreshGa.Set(int64(th))
+	d.m.wireThreshold.Set(int64(th))
 	return th
 }
 
@@ -731,7 +735,7 @@ func (d *Display) Request(req xproto.Request) {
 		d.mu.Unlock()
 		return
 	}
-	d.metrics.Counter("async").Inc()
+	d.m.async.Inc()
 	d.send(req)
 	// Keep the buffer bounded even without explicit flushes.
 	var flushErr error
@@ -810,14 +814,14 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		d.mu.Unlock()
 		return failedCookie(d, fmt.Errorf("xclient: display closed"))
 	}
-	d.metrics.Counter("roundtrips").Inc()
+	d.m.roundtrips.Inc()
 	ck := &Cookie{d: d, begin: time.Now(), done: make(chan struct{})}
 	ck.seq = d.send(req)
 	if tr := d.tracer.Load(); tr != nil && tr.Sampled(ck.seq) {
 		ck.traced = true
 		ck.op = req.Op()
 		d.tracedFlush = ck.seq
-		d.metrics.Counter("trace.sampled").Inc()
+		d.m.traceSampled.Inc()
 	}
 	d.pendMu.Lock()
 	if lost := d.lostErr; lost != nil {
@@ -827,10 +831,10 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		return ck
 	}
 	if len(d.waiters) > 0 {
-		d.metrics.Counter("pipelined").Inc()
+		d.m.pipelined.Inc()
 	}
 	d.waiters[ck.seq] = ck
-	d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+	d.m.inflight.Set(int64(len(d.waiters)))
 	d.pendMu.Unlock()
 	d.mu.Unlock()
 	return ck
@@ -842,7 +846,7 @@ func (d *Display) failCookie(ck *Cookie, err error) {
 	d.pendMu.Lock()
 	if d.waiters[ck.seq] == ck {
 		delete(d.waiters, ck.seq)
-		d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+		d.m.inflight.Set(int64(len(d.waiters)))
 		ck.resolve(nil, err)
 	}
 	d.pendMu.Unlock()
@@ -874,7 +878,7 @@ func (ck *Cookie) Wait(decode func(r *xproto.Reader)) error {
 		case <-ck.done:
 			timer.Stop()
 		case <-timer.C:
-			ck.d.metrics.Counter("roundtrip.timeout").Inc()
+			ck.d.m.roundtripTimeout.Inc()
 			ck.d.failCookie(ck, fmt.Errorf("xclient: round trip (seq %d) timed out after %v: %w", ck.seq, to, ErrTimeout))
 			// failCookie resolved the cookie unless the read loop beat
 			// us to it; either way done is closed now.
@@ -890,7 +894,7 @@ func (ck *Cookie) Wait(decode func(r *xproto.Reader)) error {
 				Op:    xproto.OpName(ck.op),
 				Start: waitStart, Dur: trace.Now() - waitStart,
 			})
-			ck.d.metrics.Counter("trace.spans").Inc()
+			ck.d.m.traceSpans.Inc()
 		}
 	}
 	if ck.err != nil {

@@ -448,7 +448,7 @@ func TestCountersTrackRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The wire shim: the server's per-connection registry answers.
+	// The wire shim: the server's per-connection counts answer.
 	after, _ := d.Counters()
 	if after.RoundTrips-before.RoundTrips != 6 { // 5 colors + 1 counter query
 		t.Fatalf("round trips grew by %d, want 6", after.RoundTrips-before.RoundTrips)

@@ -68,3 +68,11 @@ func OpName(op uint16) string {
 	}
 	return "op" + strconv.FormatUint(uint64(op), 10)
 }
+
+// EachOp calls fn for every named request opcode, so per-opcode tables
+// (the requests.<OpName> metric handles) can be built once up front.
+func EachOp(fn func(op uint16, name string)) {
+	for op, name := range opNames {
+		fn(op, name)
+	}
+}

@@ -143,7 +143,7 @@ func (s *Server) handleScreenshot(c *conn, q *xproto.ScreenshotReq) {
 		dst := xproto.AppendScreenshotPixels(w, uint16(shot.w), uint16(shot.h), shot.w*shot.h*3)
 		shot.packRGB(dst)
 	})
-	s.render.screenshot.Observe(time.Since(begin))
+	s.m.screenshot.Observe(time.Since(begin))
 }
 
 func decorationHeight(s *Server, w *window) int {

@@ -83,17 +83,13 @@ type Farm struct {
 	sweepEvery    time.Duration
 	configure     func(*Server)
 
-	// metrics is the aggregate registry: farm.* lifecycle counters plus
-	// the rolled-up "requests" counter and "dispatch" histogram every
-	// session server bumps (SetRollup) — so statshttp's /metrics and
-	// /slo over this one registry cover all tenants.
-	metrics       *obs.Registry
-	sessionsGauge *obs.Gauge
-	connsGauge    *obs.Gauge
-	admissions    *obs.Counter
-	rejections    *obs.Counter
-	evictions     *obs.Counter
-	sweeps        *obs.Counter
+	// metrics is the aggregate registry: farm.* lifecycle series (m
+	// holds their handles) plus the rolled-up "requests" counter and
+	// "dispatch" histogram every session server bumps (SetRollup) — so
+	// statshttp's /metrics and /slo over this one registry cover all
+	// tenants.
+	metrics *obs.Registry
+	m       farmMetrics
 
 	sessMu   obs.TimedMutex
 	sessions map[string]*Session // guarded by sessMu
@@ -139,12 +135,7 @@ func NewFarm(opts FarmOptions) *Farm {
 		stop:        make(chan struct{}),
 		swept:       make(chan struct{}),
 	}
-	f.sessionsGauge = f.metrics.Gauge("farm.sessions")
-	f.connsGauge = f.metrics.Gauge("farm.conns")
-	f.admissions = f.metrics.Counter("farm.admissions")
-	f.rejections = f.metrics.Counter("farm.rejections")
-	f.evictions = f.metrics.Counter("farm.evictions")
-	f.sweeps = f.metrics.Counter("farm.sweeps")
+	f.m = newFarmMetrics(f.metrics)
 	f.sessMu.Instrument(f.metrics.Histogram("lockwait.sessions"))
 	if f.idleEvict > 0 {
 		f.sweeper = true
@@ -153,11 +144,8 @@ func NewFarm(opts FarmOptions) *Farm {
 	return f
 }
 
-// Metrics returns the farm's aggregate registry: the farm.* lifecycle
-// series, the cross-session "requests"/"dispatch" rollup, the
-// "lockwait.sessions" histogram of registry-lock waits, and
-// quota.denied.* totals. Serve it with statshttp and /metrics and /slo
-// report the whole farm.
+// Metrics returns the farm's aggregate registry. Serve it with
+// statshttp and /metrics and /slo report the whole farm.
 func (f *Farm) Metrics() *obs.Registry { return f.metrics }
 
 // SessionCount returns the number of live sessions.
@@ -200,7 +188,7 @@ func (f *Farm) attach(name string) (*Session, error) {
 	sess := f.sessions[name]
 	if sess == nil {
 		if len(f.sessions) >= f.maxSessions {
-			f.rejections.Inc()
+			f.m.rejections.Inc()
 			return nil, fmt.Errorf("farm: admission denied for session %q: session cap %d reached", name, f.maxSessions)
 		}
 		srv := New(f.width, f.height)
@@ -212,8 +200,8 @@ func (f *Farm) attach(name string) (*Session, error) {
 			f.configure(srv)
 		}
 		f.sessions[name] = sess
-		f.admissions.Inc()
-		f.sessionsGauge.Set(int64(len(f.sessions)))
+		f.m.admissions.Inc()
+		f.m.sessions.Set(int64(len(f.sessions)))
 	}
 	sess.conns.Add(1)
 	sess.lastActive.Store(now.UnixNano())
@@ -286,9 +274,9 @@ func (f *Farm) ServeConn(nc net.Conn) {
 		f.refuse(nc, err.Error())
 		return
 	}
-	f.connsGauge.Add(1)
+	f.m.conns.Add(1)
 	sess.srv.ServeConn(nc)
-	f.connsGauge.Add(-1)
+	f.m.conns.Add(-1)
 	f.detach(sess)
 }
 
@@ -347,14 +335,14 @@ func (f *Farm) Evict(name string) bool {
 	sess := f.sessions[name]
 	if sess != nil {
 		delete(f.sessions, name)
-		f.sessionsGauge.Set(int64(len(f.sessions)))
+		f.m.sessions.Set(int64(len(f.sessions)))
 	}
 	f.sessMu.Unlock()
 	if sess == nil {
 		return false
 	}
 	sess.srv.Close()
-	f.evictions.Inc()
+	f.m.evictions.Inc()
 	return true
 }
 
@@ -364,7 +352,7 @@ func (f *Farm) Evict(name string) bool {
 // Victims are collected under sessMu and destroyed after it is
 // released. Returns the number evicted.
 func (f *Farm) sweepIdle(now time.Time) int {
-	f.sweeps.Inc()
+	f.m.sweeps.Inc()
 	cutoff := now.Add(-f.idleEvict).UnixNano()
 	f.sessMu.Lock()
 	var victims []*Session
@@ -374,11 +362,11 @@ func (f *Farm) sweepIdle(now time.Time) int {
 			delete(f.sessions, name)
 		}
 	}
-	f.sessionsGauge.Set(int64(len(f.sessions)))
+	f.m.sessions.Set(int64(len(f.sessions)))
 	f.sessMu.Unlock()
 	for _, sess := range victims {
 		sess.srv.Close()
-		f.evictions.Inc()
+		f.m.evictions.Inc()
 	}
 	return len(victims)
 }
@@ -414,7 +402,7 @@ func (f *Farm) Close() {
 		victims = append(victims, sess)
 		delete(f.sessions, name)
 	}
-	f.sessionsGauge.Set(0)
+	f.m.sessions.Set(0)
 	f.sessMu.Unlock()
 	if f.sweeper {
 		close(f.stop)

@@ -161,11 +161,11 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 		// pixmap had reserved, so usage tracks the live table exactly.
 		bytes := int64(q.Width) * int64(q.Height) * 4
 		if !reserveQuota(&s.usedPixmapBytes, s.quotaPixmapBytes.Load(), bytes) {
-			s.quotaDenied(c, "pixmap_bytes", "CreatePixmap", s.quotaPixmapBytes.Load())
+			s.quotaDenied(c, resPixmapBytes, "CreatePixmap", s.quotaPixmapBytes.Load())
 			return
 		}
-		p := &pixmap{img: newImageM(int(q.Width), int(q.Height), s.render), bytes: bytes, owner: c}
-		p.mu.Instrument(s.metrics.Histogram("lockwait.pixmaps"))
+		p := &pixmap{img: newImageM(int(q.Width), int(q.Height), s.m), bytes: bytes, owner: c}
+		p.mu.Instrument(s.m.pixmapLock)
 		if old, ok := s.pixmaps.set(q.Pid, p); ok {
 			s.usedPixmapBytes.Add(-old.bytes)
 		}
@@ -175,7 +175,7 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 		}
 	case *xproto.CreateGCReq:
 		if !reserveQuota(&s.usedGCs, s.quotaGCs.Load(), 1) {
-			s.quotaDenied(c, "gcs", "CreateGC", s.quotaGCs.Load())
+			s.quotaDenied(c, resGCs, "CreateGC", s.quotaGCs.Load())
 			return
 		}
 		gc := &gcontext{foreground: 0, background: 0xffffff, lineWidth: 1, owner: c}
@@ -239,7 +239,7 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 			s.withDrawable(q.Drawable, func(im *image) {
 				im.fillRects(q.Rects, gc.foreground)
 			})
-			s.render.fill.Observe(time.Since(begin))
+			s.m.fill.Observe(time.Since(begin))
 		}
 	case *xproto.PolyText8Req:
 		s.handleDrawText(c, q.Drawable, q.Gc, q.X, q.Y, q.Text, false)
@@ -270,9 +270,9 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 		// already rejected as a protocol error before dispatch.
 	case *xproto.QueryCountersReq:
 		rep := &xproto.CountersReply{
-			Requests:   c.metrics.Counter("requests").Value(),
-			RoundTrips: c.metrics.Counter("roundtrips").Value(),
-			EventsSent: c.metrics.Counter("events").Value(),
+			Requests:   c.requests.Value(),
+			RoundTrips: c.roundtrips.Value(),
+			EventsSent: c.events.Value(),
 		}
 		c.reply(func(w *xproto.Writer) { rep.Encode(w) })
 	default:
@@ -341,7 +341,7 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 	// Reserve after the validity checks so a denied or invalid request
 	// leaves usage untouched; destroyWindow releases the reservation.
 	if !reserveQuota(&s.usedWindows, s.quotaWindows.Load(), 1) {
-		s.quotaDenied(c, "windows", "CreateWindow", s.quotaWindows.Load())
+		s.quotaDenied(c, resWindows, "CreateWindow", s.quotaWindows.Load())
 		return
 	}
 	w := &window{
@@ -355,7 +355,7 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 		background:  q.Background,
 		border:      q.Border,
 		override:    q.OverrideRedirect,
-		img:         newImageM(max(int(q.Width), 1), max(int(q.Height), 1), s.render),
+		img:         newImageM(max(int(q.Width), 1), max(int(q.Height), 1), s.m),
 		masks:       make(map[*conn]uint32),
 		props:       make(map[xproto.Atom]property),
 		owner:       c,
@@ -712,7 +712,7 @@ func (s *Server) handleClearArea(c *conn, q *xproto.ClearAreaReq) {
 // documented order); window-to-window needs treeMu alone.
 func (s *Server) handleCopyArea(c *conn, q *xproto.CopyAreaReq) {
 	begin := time.Now()
-	defer func() { s.render.copyArea.Observe(time.Since(begin)) }()
+	defer func() { s.m.copyArea.Observe(time.Since(begin)) }()
 	sp, sIsPix := s.pixmaps.get(q.Src)
 	dp, dIsPix := s.pixmaps.get(q.Dst)
 	copyRect := func(dst, src *image) {
@@ -790,7 +790,7 @@ func (s *Server) handleDrawText(c *conn, drawable, gcID xproto.ID, x, y int16, t
 		}
 		f.drawString(im, int(x), int(y), text, gc.foreground)
 	})
-	s.render.text.Observe(time.Since(begin))
+	s.m.text.Observe(time.Since(begin))
 	if !drew {
 		c.protoError("DrawText: bad drawable or gc")
 	}

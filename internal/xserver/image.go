@@ -25,7 +25,7 @@ type image struct {
 	w, h   int
 	tw, th int    // tiles across / down
 	tiles  []tile // tw*th tiles, row-major
-	m      *renderMetrics
+	m      *serverMetrics
 }
 
 const (
@@ -46,7 +46,7 @@ func newImage(w, h int) *image { return newImageM(w, h, nil) }
 
 // newImageM creates an image reporting damage into m (nil for an
 // unmetered image, e.g. a screenshot compose target or a test buffer).
-func newImageM(w, h int, m *renderMetrics) *image {
+func newImageM(w, h int, m *serverMetrics) *image {
 	if w < 1 {
 		w = 1
 	}

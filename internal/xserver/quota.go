@@ -64,16 +64,27 @@ func reserveQuota(used *atomic.Int64, limit int64, n int64) bool {
 	}
 }
 
-// quotaDenied counts a denial and sends the clean X error for it. The
-// resource label is one of "windows", "pixmap_bytes", "gcs" — each a
-// quota.denied.<resource> counter on the session registry and, when the
-// session belongs to a farm, on the farm's aggregate registry too.
-func (s *Server) quotaDenied(c *conn, resource, req string, limit int64) {
-	s.metrics.Counter("quota.denied." + resource).Inc()
+// quotaRes indexes the quota-bounded resources: their names and the
+// quota.denied.<resource> handles.
+type quotaRes int
+
+const (
+	resWindows quotaRes = iota
+	resPixmapBytes
+	resGCs
+)
+
+var quotaResNames = [...]string{"windows", "pixmap_bytes", "gcs"}
+
+// quotaDenied counts a denial — on the session registry and, when the
+// session belongs to a farm, on the farm's aggregate registry too — and
+// sends the clean X error for it.
+func (s *Server) quotaDenied(c *conn, res quotaRes, req string, limit int64) {
+	s.m.quotaDenied[res].Inc()
 	if s.rollup != nil {
-		s.rollup.Counter("quota.denied." + resource).Inc()
+		s.rollup.quotaDenied[res].Inc()
 	}
-	c.protoError("%s: session quota exceeded: %s limit %d reached", req, resource, limit)
+	c.protoError("%s: session quota exceeded: %s limit %d reached", req, quotaResNames[res], limit)
 }
 
 // ParseQuota parses the xsimd -quota flag syntax: comma-separated

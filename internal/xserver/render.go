@@ -3,46 +3,16 @@ package xserver
 import (
 	"runtime"
 	"sync"
-
-	"repro/internal/obs"
 )
 
-// Render-pipeline observability and the bounded worker pool that fans
-// the independent tile rows of large fills out across CPUs.
+// The bounded worker pool that fans the independent tile rows of large
+// fills out across CPUs.
 //
 // The pool holds no locks: a worker only ever writes pixels of tiles
 // handed to it by the caller, who holds the owning drawable's lock for
 // the whole fan-out and blocks until every job finishes — so the
 // drawable lock still guards all tile state, and two jobs of one fill
 // never share a tile (they cover distinct tile rows).
-
-// renderMetrics is the render pipeline's slice of the server registry,
-// resolved once in New so the draw hot path never does a registry
-// lookup. The pointers are immutable after New; obs counters and
-// histograms are safe for concurrent use.
-type renderMetrics struct {
-	tilesDamaged  *obs.Counter   // clean→dirty tile transitions
-	tilesCOW      *obs.Counter   // slab clones forced by writes to shared tiles
-	tilesSnapshot *obs.Counter   // tiles aliased into copy-on-write snapshots
-	parallelFills *obs.Counter   // fills fanned out to the worker pool
-	fill          *obs.Histogram // rect-fill batch service time
-	copyArea      *obs.Histogram // copy service time
-	text          *obs.Histogram // glyph blit service time
-	screenshot    *obs.Histogram // compose + pack time (outside treeMu)
-}
-
-func newRenderMetrics(reg *obs.Registry) *renderMetrics {
-	return &renderMetrics{
-		tilesDamaged:  reg.Counter("render.tiles.damaged"),
-		tilesCOW:      reg.Counter("render.tiles.cow"),
-		tilesSnapshot: reg.Counter("render.tiles.snapshot"),
-		parallelFills: reg.Counter("render.fill.parallel"),
-		fill:          reg.Histogram("render.fill"),
-		copyArea:      reg.Histogram("render.copy"),
-		text:          reg.Histogram("render.text"),
-		screenshot:    reg.Histogram("render.screenshot"),
-	}
-}
 
 // parallelFillMin is the clipped pixel area below which a fill is not
 // worth fanning out: smaller fills run inline on the dispatching

@@ -124,15 +124,9 @@ type Server struct {
 	usedPixmapBytes  atomic.Int64
 	usedGCs          atomic.Int64
 
-	// rollup aggregation (SetRollup): when this server is one session of
-	// a farm, the farm's registry is attached here and the hot dispatch
-	// path bumps these pre-resolved handles alongside the per-session
-	// metrics, so /metrics and /slo over the farm registry see every
-	// tenant's traffic under the standard names. All three are set before
-	// the server accepts its first connection and immutable afterwards.
-	rollup         *obs.Registry
-	rollupRequests *obs.Counter
-	rollupDispatch *obs.Histogram
+	// rollup is nil outside a farm; SetRollup sets it before the first
+	// connection, and it is immutable afterwards.
+	rollup *rollupMetrics
 
 	// activity, when non-nil, receives a unix-nano stamp per dispatched
 	// request: the farm points it at the owning session's last-active
@@ -147,29 +141,15 @@ type Server struct {
 	listener net.Listener   // guarded by connsMu
 	closed   bool           // guarded by connsMu
 
-	// metrics aggregates across all connections: "requests",
-	// per-opcode "requests.<OpName>" counters, the "dispatch"
-	// service-time histogram, and the per-subsystem "lockwait.*"
-	// histograms. The span layer adds "trace.sampled" (dispatches picked
-	// for span recording) and "trace.spans" (spans recorded). The
-	// pointer is immutable after New; the registry itself is safe for
-	// concurrent use.
+	// metrics aggregates across all connections; m holds its handles.
+	// Both are immutable after New.
 	metrics *obs.Registry
+	m       *serverMetrics
 
 	// tracer, when set, records a server.dispatch span (with per-subsystem
 	// lock waits attributed) for sampled requests. Atomic so SetTracer
 	// may race dispatch.
 	tracer atomic.Pointer[trace.Tracer]
-
-	// lockNames maps each lockwait histogram back to its subsystem name,
-	// so a sampled dispatch can label the waits its collector gathered.
-	// Immutable after New.
-	lockNames map[*obs.Histogram]string
-
-	// render is the render pipeline's pre-resolved slice of the metrics
-	// registry: tile damage/COW/snapshot counters and the per-primitive
-	// service-time histograms. Immutable after New.
-	render *renderMetrics
 }
 
 // gcontext is a server-side graphics context. Fields are mutated only
@@ -254,11 +234,9 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
-	// metrics holds this connection's view of the same counter and
-	// histogram names the server registry aggregates, plus
-	// "roundtrips", "events" and "dropped". QueryCounters answers from
-	// it. The pointer is immutable after ServeConn creates it.
-	metrics *obs.Registry
+	// This connection's own counts, which QueryCounters answers from;
+	// every other series is recorded in the server registry only.
+	requests, roundtrips, events obs.Counter
 }
 
 // New creates a server with the given screen size.
@@ -277,22 +255,26 @@ func New(width, height int) *Server {
 		start:      time.Now(),
 		nextAtom:   100,
 	}
+	s.m = newServerMetrics(s.metrics)
 	s.nextIDBase.Store(0x00200000)
 	s.wireV2.Store(true)
-	s.lockNames = make(map[*obs.Histogram]string)
-	for _, n := range []string{"tree", "atoms", "fonts", "colors", "conns", "gcs", "pixmaps", "cursors"} {
-		s.lockNames[s.metrics.Histogram("lockwait."+n)] = n
+	// lockwait resolves each subsystem's wait histogram once and records
+	// its full name for labelling sampled dispatch spans.
+	lockwait := func(subsystem string) *obs.Histogram {
+		h := s.metrics.Histogram("lockwait." + subsystem)
+		s.m.lockKeys[h] = "lockwait." + subsystem
+		return h
 	}
-	s.treeMu.Instrument(s.metrics.Histogram("lockwait.tree"))
-	s.atomsMu.Instrument(s.metrics.Histogram("lockwait.atoms"))
-	s.fontsMu.Instrument(s.metrics.Histogram("lockwait.fonts"))
-	s.colorsMu.Instrument(s.metrics.Histogram("lockwait.colors"))
-	s.connsMu.Instrument(s.metrics.Histogram("lockwait.conns"))
-	s.gcs = newResTable[*gcontext](s.metrics.Histogram("lockwait.gcs"))
-	s.pixmaps = newResTable[*pixmap](s.metrics.Histogram("lockwait.pixmaps"))
-	s.cursors = newResTable[string](s.metrics.Histogram("lockwait.cursors"))
+	s.treeMu.Instrument(lockwait("tree"))
+	s.atomsMu.Instrument(lockwait("atoms"))
+	s.fontsMu.Instrument(lockwait("fonts"))
+	s.colorsMu.Instrument(lockwait("colors"))
+	s.connsMu.Instrument(lockwait("conns"))
+	s.gcs = newResTable[*gcontext](lockwait("gcs"))
+	s.m.pixmapLock = lockwait("pixmaps")
+	s.pixmaps = newResTable[*pixmap](s.m.pixmapLock)
+	s.cursors = newResTable[string](lockwait("cursors"))
 	s.writeTimeout.Store(int64(DefaultWriteTimeout))
-	s.render = newRenderMetrics(s.metrics)
 	for a, name := range xproto.PredefinedAtoms {
 		s.atoms[name] = a
 		s.atomNames[a] = name
@@ -303,7 +285,7 @@ func New(width, height int) *Server {
 		h:          height,
 		background: 0x5f9ea0, // the classic root-weave stand-in
 		mapped:     true,
-		img:        newImageM(width, height, s.render),
+		img:        newImageM(width, height, s.m),
 		masks:      make(map[*conn]uint32),
 		props:      make(map[xproto.Atom]property),
 	}
@@ -348,8 +330,7 @@ const DefaultWriteTimeout = 10 * time.Second
 
 // SetWriteTimeout changes the stalled-peer write bound. Zero disables
 // the bound (writes may block forever — only sensible in tests). Each
-// severed connection increments the "stalled" counter on both the
-// server registry and the connection's own.
+// severed connection increments the "stalled" counter.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout.Store(int64(d)) }
 
 // SetWireV2 sets whether the server accepts wire-protocol-v2 upgrades
@@ -359,17 +340,7 @@ func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout.Store(int64(d
 // Affects connections negotiated after the call.
 func (s *Server) SetWireV2(on bool) { s.wireV2.Store(on) }
 
-// Stats reports aggregate request count across all connections. It is
-// a compatibility shim over Metrics(): the same number is the
-// "requests" counter in the registry.
-func (s *Server) Stats() (requests uint64) {
-	return s.metrics.Counter("requests").Value()
-}
-
-// Metrics returns the server-wide registry: "requests" and per-opcode
-// "requests.<OpName>" counters, the "dispatch" histogram of request
-// service times (decode + handle, excluding simulated latency), and the
-// "lockwait.<subsystem>" histograms of mutex acquisition waits.
+// Metrics returns the server-wide registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // SetTracer attaches (or, with nil, detaches) a span tracer. Give the
@@ -381,14 +352,9 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 
 // SetRollup attaches an aggregate registry (a farm's) that the dispatch
 // path bumps alongside this server's own: the standard "requests"
-// counter and "dispatch" histogram names, pre-resolved here so the hot
-// path pays two atomic ops, not a map lookup. Quota denials roll up too
-// (quota.go). Call before the server accepts its first connection.
-func (s *Server) SetRollup(reg *obs.Registry) {
-	s.rollup = reg
-	s.rollupRequests = reg.Counter("requests")
-	s.rollupDispatch = reg.Histogram("dispatch")
-}
+// counter and "dispatch" histogram names, and quota denials (quota.go).
+// Call before the server accepts its first connection.
+func (s *Server) SetRollup(reg *obs.Registry) { s.rollup = newRollupMetrics(reg) }
 
 // setActivity points the per-request activity stamp at the given clock
 // (the farm's per-session last-active time). Call before the server
@@ -464,11 +430,10 @@ var framePool = sync.Pool{
 // until it closes.
 func (s *Server) ServeConn(nc net.Conn) {
 	c := &conn{
-		s:       s,
-		rw:      nc,
-		out:     make(chan *[]byte, 4096),
-		done:    make(chan struct{}),
-		metrics: obs.NewRegistry(),
+		s:    s,
+		rw:   nc,
+		out:  make(chan *[]byte, 4096),
+		done: make(chan struct{}),
 	}
 	s.connsMu.Lock()
 	if s.closed {
@@ -497,10 +462,6 @@ func (s *Server) ServeConn(nc net.Conn) {
 	go func() {
 		var batch, seg []byte
 		v2 := false
-		wireSegs := s.metrics.Counter("wire.segments.v2")
-		wireRaw := s.metrics.Counter("wire.bytes.raw")
-		wireWire := s.metrics.Counter("wire.bytes.wire")
-		wireSkip := s.metrics.Counter("wire.compress.skipped")
 		for {
 			select {
 			case bp, ok := <-c.out:
@@ -534,17 +495,17 @@ func (s *Server) ServeConn(nc net.Conn) {
 					}
 				}
 				out := batch
-				wireRaw.Add(uint64(len(batch)))
+				s.m.wireBytesRaw.Add(uint64(len(batch)))
 				if v2 && len(batch) >= wireWrapMin {
 					var compressed bool
 					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch)
-					wireSegs.Inc()
+					s.m.wireSegs.Inc()
 					if !compressed {
-						wireSkip.Inc()
+						s.m.wireSkipped.Inc()
 					}
 					out = seg
 				}
-				wireWire.Add(uint64(len(out)))
+				s.m.wireBytesWire.Add(uint64(len(out)))
 				if to := s.writeTimeout.Load(); to > 0 {
 					nc.SetWriteDeadline(time.Now().Add(time.Duration(to)))
 				}
@@ -613,8 +574,7 @@ loop:
 			// the envelope checksum or the framing no longer vouches for
 			// the stream, so sever rather than dispatch garbage.
 			if err := s.serveWireSeg(c, payload); err != nil {
-				s.metrics.Counter("wire.decode.errors").Inc()
-				c.metrics.Counter("wire.decode.errors").Inc()
+				s.m.wireDecodeErrs.Inc()
 				c.protoError("wire: %v", err)
 				break loop
 			}
@@ -647,13 +607,10 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	// includes its own request; timing wraps only decode + handle,
 	// so the "dispatch" histogram measures true service time, not
 	// the simulated IPC latency above.
-	name := xproto.OpName(op)
-	s.metrics.Counter("requests").Inc()
-	s.metrics.Counter("requests." + name).Inc()
-	c.metrics.Counter("requests").Inc()
-	c.metrics.Counter("requests." + name).Inc()
-	if s.rollupRequests != nil {
-		s.rollupRequests.Inc()
+	s.m.count(op)
+	c.requests.Inc()
+	if s.rollup != nil {
+		s.rollup.requests.Inc()
 	}
 	begin := time.Now()
 	if a := s.activity; a != nil {
@@ -665,15 +622,15 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		// waits (dispatch runs synchronously here, so every wait the
 		// collector sees belongs to this request) and attribute them
 		// to the span by subsystem.
-		s.metrics.Counter("trace.sampled").Inc()
+		s.m.traceSampled.Inc()
 		span := trace.Span{
 			Seq: c.seq, Name: "server.dispatch", Side: "server",
-			Op: name, Start: begin.UnixNano(),
+			Op: xproto.OpName(op), Start: begin.UnixNano(),
 		}
 		remove := obs.SetWaitCollector(func(h *obs.Histogram, waitNs int64) {
-			key := "lockwait.other" // untimed mutexes (e.g. per-pixmap locks)
-			if n, ok := s.lockNames[h]; ok {
-				key = "lockwait." + n
+			key, ok := s.m.lockKeys[h]
+			if !ok {
+				key = "lockwait.other" // untimed mutexes
 			}
 			for i := range span.Args {
 				if span.Args[i].Key == key {
@@ -688,15 +645,14 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		elapsed = time.Since(begin)
 		span.Dur = int64(elapsed)
 		tr.Record(span)
-		s.metrics.Counter("trace.spans").Inc()
+		s.m.traceSpans.Inc()
 	} else {
 		s.dispatch(c, op, payload)
 		elapsed = time.Since(begin)
 	}
-	s.metrics.Histogram("dispatch").Observe(elapsed)
-	c.metrics.Histogram("dispatch").Observe(elapsed)
-	if s.rollupDispatch != nil {
-		s.rollupDispatch.Observe(elapsed)
+	s.m.dispatch.Observe(elapsed)
+	if s.rollup != nil {
+		s.rollup.dispatch.Observe(elapsed)
 	}
 }
 
@@ -770,8 +726,7 @@ func (c *conn) close() {
 // stopped draining it (a write deadline expired or the outbound queue
 // stayed full past the write timeout).
 func (c *conn) markStalled() {
-	c.s.metrics.Counter("stalled").Inc()
-	c.metrics.Counter("stalled").Inc()
+	c.s.m.stalled.Inc()
 }
 
 // segmentReader counts wire segments and charges the per-segment
@@ -788,7 +743,7 @@ type segmentReader struct {
 func (sr *segmentReader) Read(p []byte) (int, error) {
 	n, err := sr.conn.Read(p)
 	if n > 0 {
-		sr.s.metrics.Counter("segments").Inc()
+		sr.s.m.segments.Inc()
 		if sr.s.latModel.Load() == int32(LatencyPerSegment) {
 			if lat := sr.s.latency.Load(); lat > 0 {
 				time.Sleep(time.Duration(lat))
@@ -863,7 +818,7 @@ func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
 		release()
 	default:
 		release()
-		c.metrics.Counter("dropped").Inc()
+		c.s.m.dropped.Inc()
 	}
 }
 
@@ -871,7 +826,7 @@ func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
 // enqueueFrame copies the encoded bytes into the outbound frame before
 // the writer is released, so the hot reply path allocates nothing.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
-	c.metrics.Counter("roundtrips").Inc()
+	c.roundtrips.Inc()
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
@@ -890,7 +845,7 @@ func (c *conn) protoError(format string, args ...any) {
 
 // sendEvent delivers an event to this connection.
 func (c *conn) sendEvent(ev *xproto.Event) {
-	c.metrics.Counter("events").Inc()
+	c.events.Inc()
 	w := xproto.AcquireWriter()
 	ev.Encode(w)
 	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false)
