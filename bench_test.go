@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/obs/trace"
 	"repro/internal/tcl"
 	"repro/internal/tk"
 	"repro/internal/xclient"
@@ -458,5 +459,101 @@ func BenchmarkOptionDatabaseLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app.GetOption(w, "background", "Background")
+	}
+}
+
+// --- Round trips: pipelining and the latency histogram ------------------
+
+// BenchmarkPipelinedRoundTrips measures k Ping round trips per
+// iteration with k requests in flight at once, at 1 ms of simulated IPC
+// latency charged per wire segment. With the cookie model the k=8 and
+// k=64 variants pay the latency once per batch, not once per request.
+// The +spans variant runs with 1-in-64 request-span sampling on both
+// sides; comparing it against the untraced k=64 run shows the tracing
+// overhead, whose allocations TestSpanSamplingCost gates by count.
+func BenchmarkPipelinedRoundTrips(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		k     int
+		spans bool
+	}{
+		{"inflight=1", 1, false},
+		{"inflight=8", 8, false},
+		{"inflight=64", 64, false},
+		{"inflight=64+spans", 64, true},
+	} {
+		k := bc.k
+		b.Run(bc.name, func(b *testing.B) {
+			app, err := core.NewApp(core.Options{Name: "bench"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer app.Close()
+			app.Server.SetLatency(time.Millisecond)
+			app.Server.SetLatencyModel(xserver.LatencyPerSegment)
+			if bc.spans {
+				tr := trace.New(8192, trace.DefaultInterval)
+				app.Server.SetTracer(tr)
+				app.Disp.SetTracer(tr)
+			}
+			defer func() {
+				app.Server.SetLatency(0)
+				app.Server.SetLatencyModel(xserver.LatencyPerRequest)
+			}()
+			cookies := make([]*xclient.Cookie, k)
+			// The reply path is pooled end to end; TestPipelinedRoundTripAllocs
+			// (internal/xserver) gates its allocations.
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					cookies[j] = app.Disp.SendWithReply(&xproto.PingReq{})
+				}
+				for j := 0; j < k; j++ {
+					if err := cookies[j].Wait(nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			// Per-round-trip cost, so the three variants compare directly.
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/rtt")
+		})
+	}
+}
+
+// BenchmarkRoundTripLatency measures one protocol round trip (Sync) at
+// two simulated IPC latencies, reporting the histogram's own quantile
+// estimates alongside the wall-clock numbers so the two can be compared.
+func BenchmarkRoundTripLatency(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		lat  time.Duration
+	}{
+		{"latency=0", 0},
+		{"latency=1ms", time.Millisecond},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			app, err := core.NewApp(core.Options{Name: "bench"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer app.Close()
+			app.Server.SetLatency(bc.lat)
+			defer app.Server.SetLatency(0)
+			app.Metrics().Reset()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := app.Disp.Sync(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if h, ok := app.Metrics().FindHistogram("roundtrip"); ok {
+				s := h.Snapshot()
+				b.ReportMetric(float64(s.Quantile(0.5)), "p50-ns")
+				b.ReportMetric(float64(s.Quantile(0.99)), "p99-ns")
+			}
+		})
 	}
 }

@@ -87,6 +87,8 @@ type Toolkit struct {
 	Disp    *xclient.Display
 	widgets map[xproto.ID]*Widget
 	font    *xclient.Font
+	// received counts events taken off Disp, mirroring Disp.EventsSeen.
+	received uint64
 }
 
 // NewToolkit initializes the baseline toolkit over a display connection.
@@ -260,14 +262,18 @@ func (tk *Toolkit) DispatchEvent(ev *xproto.Event) {
 	}
 }
 
-// ProcessPending drains and dispatches all queued events.
+// ProcessPending drains and dispatches all queued events. It compares
+// its own count against Disp.EventsSeen rather than polling the events
+// channel: a poll races the display's feeder goroutine and can miss an
+// event that arrived ahead of the last reply.
 func (tk *Toolkit) ProcessPending() {
 	tk.Disp.Flush()
-	for {
-		ev, ok := tk.Disp.PollEvent()
+	for tk.received < tk.Disp.EventsSeen() {
+		ev, ok := tk.Disp.NextEvent()
 		if !ok {
 			return
 		}
+		tk.received++
 		tk.DispatchEvent(&ev)
 	}
 }

@@ -357,10 +357,10 @@ func TestDynamicInterfaceRebuild(t *testing.T) {
 	}
 }
 
-// TestEmitInterfaceScript covers the §6 interface-editor mechanics: the
+// TestInterfaceEditorScript covers the §6 interface-editor mechanics: the
 // configure introspection contains enough to regenerate a widget, and
 // the generated script rebuilds an equivalent interface.
-func TestEmitInterfaceScript(t *testing.T) {
+func TestInterfaceEditorScript(t *testing.T) {
 	app, _ := newApp(t, "emitter")
 	app.MustEval(`button .b -text "Press me" -bg red -relief groove`)
 	app.MustEval(`pack append . .b {top fillx}`)

@@ -1,11 +1,9 @@
 // Package slo folds metric-registry snapshots and request spans into a
 // machine-readable service-level report: p50/p99 dispatch and
 // round-trip latency, per-subsystem lock-wait quantiles, and an error
-// budget computed from the error-class counters. It is the rollup the
-// standing regression harness (ROADMAP item 5) asserts against —
-// BENCH_slo.json is one of these reports serialized by the OBS_BENCH
-// gate — and the live introspection endpoint (internal/obs/statshttp)
-// serves it from a running server.
+// budget computed from the error-class counters. The live introspection
+// endpoint (internal/obs/statshttp) serves it from a running server, and
+// the root TestSLOReport checks every section against a traced workload.
 package slo
 
 import (
@@ -110,8 +108,8 @@ func IsErrorCounter(name string) bool {
 	return errorCounterNames[name]
 }
 
-// MarshalReport renders a report as indented JSON — the format both
-// BENCH_slo.json and the /slo endpoint emit.
+// MarshalReport renders a report as indented JSON — the format the /slo
+// endpoint emits.
 func MarshalReport(r Report) ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

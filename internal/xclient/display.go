@@ -576,16 +576,6 @@ func (d *Display) NextEvent() (xproto.Event, bool) {
 	return ev, ok
 }
 
-// PollEvent returns an event if one is queued.
-func (d *Display) PollEvent() (xproto.Event, bool) {
-	select {
-	case ev, ok := <-d.events:
-		return ev, ok
-	default:
-		return xproto.Event{}, false
-	}
-}
-
 // SetRoundTripTimeout replaces the deadline Cookie.Wait applies to
 // every round trip (DefaultRoundTripTimeout initially; 0 disables).
 // Safe to call from any goroutine.

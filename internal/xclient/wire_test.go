@@ -3,6 +3,7 @@ package xclient_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/xclient"
 	"repro/internal/xproto"
@@ -188,4 +189,64 @@ func TestWireV2PipelinedCookies(t *testing.T) {
 	if errs := d.TakeErrors(); len(errs) > 0 {
 		t.Fatalf("async errors: %v", errs)
 	}
+}
+
+// TestWireV2Storm gates wire v2's two claims on a 3,000-fill rectangle
+// storm, both as counts. v2 ships at least 5x fewer bytes than v1. At
+// 10 ms RTT, once 16 Syncs have fed the round-trip EWMA that sizes
+// v2's adaptive flushes, v2 crosses in at most half of v1's wire
+// segments. Under the per-segment latency model simulated time is
+// segments × RTT, so the second check is the 2x speed claim without a
+// clock.
+func TestWireV2Storm(t *testing.T) {
+	// storm runs the storm on a fresh connection and returns the
+	// client's wire bytes for the whole connection and the server
+	// segments the storm itself took.
+	storm := func(mode xclient.WireMode, rtt time.Duration) (wire, segs uint64) {
+		srv := xserver.New(640, 480)
+		t.Cleanup(srv.Close)
+		srv.SetLatencyModel(xserver.LatencyPerSegment)
+		srv.SetLatency(rtt)
+		d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Wire: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		if rtt > 0 {
+			for i := 0; i < 16; i++ {
+				if err := d.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		segments := srv.Metrics().Counter("segments")
+		before := segments.Value()
+		w := d.CreateWindow(d.Root, 0, 0, 640, 480, 0, xclient.WindowAttributes{Background: 0x101010})
+		d.MapWindow(w)
+		gc := d.CreateGC(xclient.GCValues{Foreground: 0x40C080})
+		for i := 0; i < 3000; i++ {
+			d.FillRectangle(w, gc, i%600, (i*13)%440, 16, 12)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		raw, wire := d.Metrics().Counter("wire.bytes.raw").Value(), d.Metrics().Counter("wire.bytes.wire").Value()
+		if mode == xclient.WireV1 && raw != wire {
+			t.Fatalf("v1 raw (%d) != v1 wire (%d): v1 must be a passthrough", raw, wire)
+		}
+		return wire, segments.Value() - before
+	}
+
+	v1Wire, _ := storm(xclient.WireV1, 0)
+	v2Wire, _ := storm(xclient.WireV2, 0)
+	if v2Wire*5 > v1Wire {
+		t.Errorf("v2 wire bytes %d vs v1 %d: %.1fx reduction, want ≥ 5x", v2Wire, v1Wire, float64(v1Wire)/float64(v2Wire))
+	}
+	const rtt = 10 * time.Millisecond
+	_, v1Segs := storm(xclient.WireV1, rtt)
+	_, v2Segs := storm(xclient.WireV2, rtt)
+	if v2Segs*2 > v1Segs {
+		t.Errorf("storm at %v RTT: v2 took %d segments vs v1's %d, want at most half", rtt, v2Segs, v1Segs)
+	}
+	t.Logf("bytes v1 %d, v2 %d; segments at %v v1 %d, v2 %d", v1Wire, v2Wire, rtt, v1Segs, v2Segs)
 }

@@ -326,7 +326,8 @@ func (f *Farm) ConnectPipe() net.Conn {
 }
 
 // Evict forcibly retires a session: it is removed from the registry
-// under sessMu, then — lock released — its server is closed, which
+// and counted in farm.evictions under sessMu, so the count never lags
+// SessionCount, then — lock released — its server is closed, which
 // severs its clients and runs the ordinary per-connection cleanup.
 // Reports whether the session existed. Other tenants are untouchable
 // by construction: the victim's server holds no other session's state.
@@ -336,21 +337,21 @@ func (f *Farm) Evict(name string) bool {
 	if sess != nil {
 		delete(f.sessions, name)
 		f.m.sessions.Set(int64(len(f.sessions)))
+		f.m.evictions.Inc()
 	}
 	f.sessMu.Unlock()
 	if sess == nil {
 		return false
 	}
 	sess.srv.Close()
-	f.m.evictions.Inc()
 	return true
 }
 
 // sweepIdle evicts every session idle past the deadline, including ones
 // with parked connections (an idle wish holding its pipe open does not
 // pin its session — its connection is severed with the session).
-// Victims are collected under sessMu and destroyed after it is
-// released. Returns the number evicted.
+// Victims are collected and counted under sessMu and destroyed after
+// it is released. Returns the number evicted.
 func (f *Farm) sweepIdle(now time.Time) int {
 	f.m.sweeps.Inc()
 	cutoff := now.Add(-f.idleEvict).UnixNano()
@@ -363,10 +364,10 @@ func (f *Farm) sweepIdle(now time.Time) int {
 		}
 	}
 	f.m.sessions.Set(int64(len(f.sessions)))
+	f.m.evictions.Add(uint64(len(victims)))
 	f.sessMu.Unlock()
 	for _, sess := range victims {
 		sess.srv.Close()
-		f.m.evictions.Inc()
 	}
 	return len(victims)
 }

@@ -1,6 +1,8 @@
 package xserver
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -535,5 +537,152 @@ func TestParseQuota(t *testing.T) {
 		if _, err := ParseQuota(bad); err == nil {
 			t.Errorf("ParseQuota(%q) accepted", bad)
 		}
+	}
+}
+
+// TestFarmThousandSessions holds 1,000 concurrent sessions on one farm
+// under sustained load and checks the farm's load-bearing properties:
+// the live heap plateaus across load waves instead of growing, evicting
+// 10% of the sessions mid-run costs the survivors no failed request,
+// and every session's quota reconciles to zero once it is gone.
+func TestFarmThousandSessions(t *testing.T) {
+	const sessions, evict, waves, rounds = 1000, 100, 3, 20
+	heapNow := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heapNow()
+	f := NewFarm(FarmOptions{
+		Width: 160, Height: 120,
+		MaxSessions: sessions + 50,
+		Quota:       Quota{MaxWindows: 32, MaxPixmapBytes: 1 << 20, MaxGCs: 32},
+	})
+	defer f.Close()
+
+	// One wish-style tenant per session: a window, a GC and a pixmap,
+	// and a load round shaped like a widget redisplay.
+	type tenant struct {
+		name    string
+		d       *xclient.Display
+		srv     *Server
+		win, gc xproto.ID
+	}
+	run := func(tn *tenant) error {
+		tn.d.FillRectangle(tn.win, tn.gc, 2, 2, 60, 40)
+		return tn.d.Sync()
+	}
+	// each runs fn on every tenant concurrently and fails the test on
+	// the first error.
+	each := func(group []*tenant, fn func(*tenant) error) {
+		var wg sync.WaitGroup
+		errs := make(chan error, len(group))
+		for _, tn := range group {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := fn(tn); err != nil {
+					errs <- fmt.Errorf("%s: %w", tn.name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	wave := func(tn *tenant) error {
+		for r := 0; r < rounds; r++ {
+			if err := run(tn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	tenants := make([]*tenant, sessions)
+	for i := range tenants {
+		tenants[i] = &tenant{name: fmt.Sprintf("sess-%04d", i)}
+	}
+	each(tenants, func(tn *tenant) error {
+		d, err := xclient.OpenSession(f.ConnectPipe(), tn.name)
+		if err != nil {
+			return err
+		}
+		tn.d = d
+		tn.win = d.CreateWindow(d.Root, 0, 0, 80, 60, 1, xclient.WindowAttributes{})
+		d.MapWindow(tn.win)
+		tn.gc = d.CreateGC(xclient.GCValues{Foreground: 0x336699})
+		d.CreatePixmap(16, 16)
+		if err := d.Sync(); err != nil {
+			return err
+		}
+		sess, ok := f.Lookup(tn.name)
+		if !ok {
+			return fmt.Errorf("session missing after attach")
+		}
+		tn.srv = sess.Server()
+		return nil
+	})
+	if n := f.SessionCount(); n != sessions {
+		t.Fatalf("SessionCount = %d, want %d", n, sessions)
+	}
+
+	// Bounded memory: the live heap after the last wave may exceed the
+	// plateau after the first by at most 15%.
+	heap := make([]uint64, waves)
+	for w := range heap {
+		each(tenants, wave)
+		heap[w] = heapNow()
+	}
+	growth := float64(heap[waves-1]) / float64(heap[0])
+	t.Logf("%d sessions: %d live heap bytes per session, heap growth %.3fx across %d waves",
+		sessions, (heap[0]-base)/sessions, growth, waves)
+	if growth > 1.15 {
+		t.Fatalf("heap grew %.2fx across steady-state waves (%d -> %d bytes): unbounded", growth, heap[0], heap[waves-1])
+	}
+
+	// Chaos: evict 10% of the sessions, clients mid-flight on purpose,
+	// while the survivors run a wave that must see no error.
+	victims, survivors := tenants[:evict], tenants[evict:]
+	var vwg sync.WaitGroup
+	for _, tn := range victims {
+		vwg.Add(1)
+		go func() {
+			defer vwg.Done()
+			for run(tn) == nil {
+			}
+		}()
+	}
+	vwg.Add(1)
+	go func() {
+		defer vwg.Done()
+		for _, tn := range victims {
+			if !f.Evict(tn.name) {
+				t.Errorf("Evict(%s) found no session", tn.name)
+			}
+		}
+	}()
+	each(survivors, wave)
+	vwg.Wait()
+	for _, tn := range victims {
+		waitQuotaZero(t, tn.srv)
+	}
+	if n := f.SessionCount(); n != sessions-evict {
+		t.Fatalf("SessionCount after eviction = %d, want %d", n, sessions-evict)
+	}
+	if f.Metrics().Histogram("dispatch").Snapshot().Count == 0 {
+		t.Fatal("farm rollup dispatch histogram is empty")
+	}
+
+	// Teardown: every session reconciles.
+	for _, tn := range tenants {
+		tn.d.Close()
+	}
+	for _, tn := range survivors {
+		waitQuotaZero(t, tn.srv)
 	}
 }

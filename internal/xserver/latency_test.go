@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/xclient"
+	"repro/internal/xproto"
 	"repro/internal/xserver"
 )
 
@@ -52,6 +53,33 @@ func TestLatencyPerSegment(t *testing.T) {
 	}
 	if got := segments.Value() - before; got > 3 {
 		t.Fatalf("batch consumed %d wire segments, want ≤ 3", got)
+	}
+
+	// Simulated time under this model is segments × latency, so the
+	// pipelining win is a count: 8 pipelined round trips cross in one
+	// segment where 8 serial ones take eight.
+	const flight = 8
+	before = segments.Value()
+	pings := make([]*xclient.Cookie, flight)
+	for i := range pings {
+		pings[i] = d.SendWithReply(&xproto.PingReq{})
+	}
+	for _, ck := range pings {
+		if err := ck.Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipelined := segments.Value() - before
+	before = segments.Value()
+	for i := 0; i < flight; i++ {
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := segments.Value() - before
+	if pipelined != 1 || serial != flight {
+		t.Fatalf("%d round trips took %d segments pipelined and %d serial, want 1 and %d",
+			flight, pipelined, serial, flight)
 	}
 }
 

@@ -84,3 +84,31 @@ func TestOneWayRequestAllocs(t *testing.T) {
 		t.Errorf("%.0f allocs per %d one-way requests + Sync: %.2f per request, want ≤ 4", allocs, batch, perReq)
 	}
 }
+
+// TestPipelinedRoundTripAllocs bounds the heap allocations of a
+// pipelined round trip, counted across the client and the server
+// goroutines: the reply path is pooled end to end (writer, outbound
+// frame, read buffers), so a per-frame make on either side shows up
+// here.
+func TestPipelinedRoundTripAllocs(t *testing.T) {
+	_, d := openPrivate(t)
+	d.SetRoundTripTimeout(0) // the deadline timer allocates
+	const flight = 8
+	cookies := make([]*xclient.Cookie, flight)
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := range cookies {
+			cookies[i] = d.SendWithReply(&xproto.PingReq{})
+		}
+		for _, ck := range cookies {
+			if err := ck.Wait(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// Measured at 58 allocs (7.25 per round trip), 66 (8.25) under
+	// -race; one more allocation per frame on either side breaks the
+	// bound under -race.
+	if perRTT := allocs / flight; perRTT > 9 {
+		t.Errorf("%.0f allocs per %d pipelined round trips: %.2f each, want ≤ 9", allocs, flight, perRTT)
+	}
+}

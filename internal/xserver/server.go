@@ -234,6 +234,13 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
+	// stampReply is set for the duration of a sampled dispatch; reply
+	// then records in repliedAt when the reply was queued, which is
+	// where the request's server.dispatch span ends. Both are owned by
+	// the request-loop goroutine.
+	stampReply bool
+	repliedAt  time.Time
+
 	// This connection's own counts, which QueryCounters answers from;
 	// every other series is recorded in the server registry only.
 	requests, roundtrips, events obs.Counter
@@ -640,10 +647,18 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 			}
 			span.Args = append(span.Args, trace.Arg{Key: key, Val: waitNs})
 		})
+		c.stampReply, c.repliedAt = true, time.Time{}
 		s.dispatch(c, op, payload)
+		c.stampReply = false
 		remove()
 		elapsed = time.Since(begin)
+		// The span ends when the reply is queued, not when the handler
+		// returns: past that point the client may already hold the
+		// answer, and its round trip must contain this span.
 		span.Dur = int64(elapsed)
+		if !c.repliedAt.IsZero() {
+			span.Dur = int64(c.repliedAt.Sub(begin))
+		}
 		tr.Record(span)
 		s.m.traceSpans.Inc()
 	} else {
@@ -830,6 +845,9 @@ func (c *conn) reply(encode func(w *xproto.Writer)) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
+	if c.stampReply {
+		c.repliedAt = time.Now()
+	}
 	c.enqueueFrame(xproto.KindReply, w.Bytes(), true)
 	xproto.ReleaseWriter(w)
 }
@@ -839,6 +857,9 @@ func (c *conn) protoError(format string, args ...any) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	w.PutString(fmt.Sprintf(format, args...))
+	if c.stampReply {
+		c.repliedAt = time.Now()
+	}
 	c.enqueueFrame(xproto.KindError, w.Bytes(), true)
 	xproto.ReleaseWriter(w)
 }
