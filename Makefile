@@ -1,7 +1,7 @@
 # Pre-PR gate: build, vet, race-gated tests (count gates included) plus
 # the paired timing gates, tkcheck over every Tcl script in the tree
-# (docs/static-analysis.md), the frame-decoder, Tcl-eval and
-# canvas-damage fuzz smoke, the chaos harness
+# (docs/static-analysis.md), the frame-decoder, screenshot-decoder,
+# Tcl-eval and canvas-damage fuzz smoke, the chaos harness
 # (docs/fault-injection.md), and the benchmark's own tests
 # (perfbench/README.md). All legs must pass before a change ships.
 
@@ -39,10 +39,15 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment codec), the Tcl interpreter and the canvas's damage-region
-# redisplay a bounded fuzzing pass on every check run; longer campaigns
-# just raise -fuzztime. Corpus seeds cover v1 and v2 frames in both
-# directions (internal/xproto/fuzz_test.go); FuzzEval runs arbitrary
+# v2 segment codec), the screenshot run decoder, the Tcl interpreter
+# and the canvas's damage-region redisplay a bounded fuzzing pass on
+# every check run; longer campaigns just raise -fuzztime. Corpus seeds
+# cover v1 and v2 frames in both directions
+# (internal/xproto/fuzz_test.go); FuzzScreenshotReply decodes arbitrary
+# screenshot replies, seeded with a uniform window's and a canvas
+# slide's, and checks that a decoded reply is exactly W×H×3 pixel bytes
+# that survive a re-encode, with no allocation past the frame cap
+# (internal/xproto/screenshot_test.go); FuzzEval runs arbitrary
 # scripts through Interp.Eval, expr included, and checks that nesting
 # past the interpreter's depth limit is a Tcl error, not a crash
 # (internal/tcl/fuzz_test.go); FuzzCanvasDamage runs arbitrary item
@@ -51,6 +56,7 @@ tkcheck:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
+	$(GO) test -run '^$$' -fuzz '^FuzzScreenshotReply$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanvasDamage$$' -fuzztime 5s ./internal/widget
 

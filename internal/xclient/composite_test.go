@@ -1,6 +1,7 @@
 package xclient_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/xclient"
@@ -97,5 +98,37 @@ func TestChildCompositing(t *testing.T) {
 	}
 	if pixelAt(shot, 15, 15) != [3]byte{0xcc, 0xcc, 0xcc} {
 		t.Fatalf("parent pixel = %v", pixelAt(shot, 15, 15))
+	}
+}
+
+// TestScreenshotOversizeRefused: a screenshot whose reply might not fit
+// one frame, or whose sides overflow the reply's 16-bit fields, is
+// answered with a protocol error before the server composes anything,
+// and the connection survives it.
+func TestScreenshotOversizeRefused(t *testing.T) {
+	cases := []struct {
+		name      string
+		w, h, bw  int
+		wantShape string // the screenshot's size, title bar included
+	}{
+		{"past the frame cap", 4800, 4800, 0, "4800x4818"},
+		{"wider than 65535", 65535, 1, 2, "65539x23"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, d := newPair(t)
+			w := d.CreateWindow(d.Root, 0, 0, c.w, c.h, c.bw, xclient.WindowAttributes{Background: 0x808080})
+			shot, err := d.Screenshot(w)
+			if err == nil {
+				t.Fatalf("Screenshot of a %s window = %dx%d with %d pixel bytes, want an error",
+					c.wantShape, shot.Width, shot.Height, len(shot.Pixels))
+			}
+			if !strings.Contains(err.Error(), c.wantShape) {
+				t.Fatalf("Screenshot error %q does not name the %s size", err, c.wantShape)
+			}
+			if err := d.Sync(); err != nil {
+				t.Fatalf("Sync after the refused screenshot: %v", err)
+			}
+		})
 	}
 }

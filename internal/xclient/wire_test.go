@@ -148,7 +148,8 @@ func TestWireV2ServerSegments(t *testing.T) {
 
 	w := d.CreateWindow(d.Root, 0, 0, 300, 200, 0, xclient.WindowAttributes{Background: 0x808080})
 	d.MapWindow(w)
-	// Screenshots are large, uniform replies: highly compressible.
+	// A uniform window's screenshot is one identical run per row: a
+	// small, repetitive reply the segment codec still shrinks.
 	for i := 0; i < 4; i++ {
 		if _, err := d.Screenshot(w); err != nil {
 			t.Fatalf("Screenshot: %v", err)

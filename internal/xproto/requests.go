@@ -1187,38 +1187,6 @@ func (q *ScreenshotReq) Op() uint16       { return OpScreenshot }
 func (q *ScreenshotReq) Encode(w *Writer) { w.PutU32(uint32(q.Window)) }
 func (q *ScreenshotReq) Decode(r *Reader) { q.Window = ID(r.U32()) }
 
-// ScreenshotReply carries packed RGB pixels, row-major.
-type ScreenshotReply struct {
-	Width, Height uint16
-	Pixels        []byte // 3 bytes per pixel, RGB
-}
-
-// Encode serializes the reply.
-func (p *ScreenshotReply) Encode(w *Writer) {
-	w.PutU16(p.Width)
-	w.PutU16(p.Height)
-	w.PutBytes(p.Pixels)
-}
-
-// AppendScreenshotPixels encodes a ScreenshotReply's fixed fields and
-// pixel-length prefix, then returns the raw pixelLen-byte pixel area
-// for the caller to pack RGB triples into directly — the same wire
-// bytes Encode produces, without staging the pixels in an intermediate
-// slice. The returned slice is only valid until the next Writer call.
-func AppendScreenshotPixels(w *Writer, width, height uint16, pixelLen int) []byte {
-	w.PutU16(width)
-	w.PutU16(height)
-	w.PutU32(uint32(pixelLen))
-	return w.AppendRaw(pixelLen)
-}
-
-// Decode deserializes the reply.
-func (p *ScreenshotReply) Decode(r *Reader) {
-	p.Width = r.U16()
-	p.Height = r.U16()
-	p.Pixels = append([]byte(nil), r.ByteSlice()...)
-}
-
 // PingReq is an empty round trip, used for synchronization.
 type PingReq struct{}
 

@@ -23,6 +23,12 @@ const (
 	KindError
 )
 
+// MaxFrameBytes caps the payload of one frame in either direction, and
+// the pixels a decoded screenshot may expand to. Readers reject a
+// larger frame before allocating for it; the server refuses a
+// screenshot whose reply could exceed it (CheckScreenshotSize).
+const MaxFrameBytes = 64 << 20
+
 // Writer accumulates a message payload.
 type Writer struct {
 	buf []byte
@@ -100,22 +106,6 @@ func (w *Writer) PutString(s string) {
 func (w *Writer) PutBytes(b []byte) {
 	w.PutU32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
-}
-
-// AppendRaw grows the payload by n bytes and returns the new region for
-// the caller to fill in place — the zero-intermediate-copy path for
-// bulk payloads (screenshot pixel packing). The contents of the
-// returned slice are unspecified; the caller must overwrite all n
-// bytes. The slice is only valid until the next Writer method call.
-func (w *Writer) AppendRaw(n int) []byte {
-	old := len(w.buf)
-	if cap(w.buf)-old < n {
-		nb := make([]byte, old, old+n)
-		copy(nb, w.buf)
-		w.buf = nb
-	}
-	w.buf = w.buf[:old+n]
-	return w.buf[old:]
 }
 
 // Reader walks a message payload.
@@ -231,7 +221,7 @@ func ReadRequestFrame(r io.Reader) (op uint16, payload []byte, err error) {
 	}
 	op = binary.BigEndian.Uint16(hdr[:2])
 	n := binary.BigEndian.Uint32(hdr[2:])
-	if n > 64<<20 {
+	if n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("xproto: oversized request (%d bytes)", n)
 	}
 	payload = make([]byte, n)
@@ -255,7 +245,7 @@ func ReadRequestFrameInto(r io.Reader, buf []byte) (op uint16, payload []byte, e
 	}
 	op = binary.BigEndian.Uint16(hdr[:2])
 	n := binary.BigEndian.Uint32(hdr[2:])
-	if n > 64<<20 {
+	if n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("xproto: oversized request (%d bytes)", n)
 	}
 	if uint32(cap(buf)) < n {
@@ -298,7 +288,7 @@ func ReadServerFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	}
 	kind = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 64<<20 {
+	if n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("xproto: oversized server message (%d bytes)", n)
 	}
 	payload = make([]byte, n)
@@ -320,7 +310,7 @@ func ReadServerFrameInto(r io.Reader, buf []byte) (kind byte, payload []byte, er
 	}
 	kind = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 64<<20 {
+	if n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("xproto: oversized server message (%d bytes)", n)
 	}
 	if uint32(cap(buf)) < n {

@@ -190,7 +190,7 @@ func DecodeSegmentPayload(payload, scratch []byte) (raw, newScratch []byte, err 
 	if flags&^segFlagCompressed != 0 {
 		return nil, scratch, fmt.Errorf("xproto: unknown v2 segment flags %#02x", flags)
 	}
-	if rawLen > 64<<20 {
+	if rawLen > MaxFrameBytes {
 		return nil, scratch, fmt.Errorf("xproto: oversized v2 segment (%d bytes)", rawLen)
 	}
 	if flags&segFlagCompressed == 0 {

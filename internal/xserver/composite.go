@@ -100,19 +100,36 @@ func renderPlan(dst *image, ops []compOp) {
 }
 
 // handleScreenshot renders the composited screen (or one window's
-// subtree) and replies with packed RGB pixels. treeMu is held only for
-// the plan: a walk of the tree recording geometry and copy-on-write
-// tile snapshots (pointer grabs, no pixel copies). The expensive work —
-// composing the plan into a fresh image and packing RGB triples
-// straight into the reply buffer — happens after treeMu is released, so
-// observers taking screenshots never stall painters for longer than the
-// snapshot walk.
+// subtree) and replies with its pixels as per-row runs. treeMu is held
+// only for the plan: a walk of the tree recording geometry and
+// copy-on-write tile snapshots (pointer grabs, no pixel copies). The
+// expensive work — composing the plan into a fresh image and encoding
+// its tile rows straight into the reply buffer — happens after treeMu
+// is released, so observers taking screenshots never stall painters
+// for longer than the snapshot walk. A screenshot whose reply might
+// not fit a frame is refused before anything is planned.
 func (s *Server) handleScreenshot(c *conn, q *xproto.ScreenshotReq) {
 	var ops []compOp
 	var shotW, shotH int
 	s.treeMu.Lock()
-	if q.Window == xproto.None || q.Window == s.Root() {
+	whole := q.Window == xproto.None || q.Window == s.Root()
+	win := s.windows[q.Window]
+	if whole {
 		shotW, shotH = s.width, s.height
+	} else if win == nil {
+		s.treeMu.Unlock()
+		c.protoError("Screenshot: bad window %d", q.Window)
+		return
+	} else {
+		bw := win.borderWidth
+		shotW, shotH = win.w+2*bw, win.h+2*bw+decorationHeight(s, win)
+	}
+	if err := xproto.CheckScreenshotSize(shotW, shotH); err != nil {
+		s.treeMu.Unlock()
+		c.protoError("Screenshot: %v", err)
+		return
+	}
+	if whole {
 		ops = append(ops, compOp{kind: opFill, x: 0, y: 0, w: s.width, h: s.height, pixel: s.root.background})
 		ops = append(ops, compOp{kind: opBlit, src: s.root.img.snapshot(), x: 0, y: 0, w: s.width, h: s.height})
 		for _, ch := range s.root.children {
@@ -121,16 +138,7 @@ func (s *Server) handleScreenshot(c *conn, q *xproto.ScreenshotReq) {
 			}
 		}
 	} else {
-		w := s.windows[q.Window]
-		if w == nil {
-			s.treeMu.Unlock()
-			c.protoError("Screenshot: bad window %d", q.Window)
-			return
-		}
-		bw := w.borderWidth
-		dh := decorationHeight(s, w)
-		shotW, shotH = w.w+2*bw, w.h+2*bw+dh
-		ops = s.compositePlan(ops, w, bw, bw+dh)
+		ops = s.compositePlan(ops, win, win.borderWidth, win.borderWidth+decorationHeight(s, win))
 	}
 	s.treeMu.Unlock()
 
@@ -138,10 +146,9 @@ func (s *Server) handleScreenshot(c *conn, q *xproto.ScreenshotReq) {
 	shot := newImage(shotW, shotH)
 	renderPlan(shot, ops)
 	c.reply(func(w *xproto.Writer) {
-		// Pack pixels straight into the reply payload: exactly w*h*3
-		// bytes, indexed directly, no intermediate slice.
-		dst := xproto.AppendScreenshotPixels(w, uint16(shot.w), uint16(shot.h), shot.w*shot.h*3)
-		shot.packRGB(dst)
+		enc := xproto.BeginScreenshot(w, uint16(shot.w), uint16(shot.h))
+		shot.encodeRuns(&enc)
+		enc.End()
 	})
 	s.m.screenshot.Observe(time.Since(begin))
 }

@@ -476,26 +476,17 @@ func (im *image) writeRow(dx, dy int, src []uint32) {
 	}
 }
 
-// packRGB packs the image's pixels into dst as row-major RGB triples.
-// dst must be exactly w*h*3 bytes; the walk is segment-wise over tile
-// rows, so the inner loop reads contiguous memory.
-func (im *image) packRGB(dst []byte) {
-	di := 0
+// encodeRuns feeds the image to a screenshot encoder row by row, one
+// span per tile the row crosses, so pixels go from the slabs into the
+// reply without an intermediate copy.
+func (im *image) encodeRuns(enc *xproto.ScreenshotRuns) {
 	for y := 0; y < im.h; y++ {
 		base := (y >> tileShift) * im.tw
 		off := (y & tileMask) << tileShift
-		for x := 0; x < im.w; {
-			n := min(im.w-x, tileSize-(x&tileMask))
-			o := off | (x & tileMask)
-			seg := im.tiles[base+(x>>tileShift)].px[o : o+n]
-			for _, px := range seg {
-				dst[di] = byte(px >> 16)
-				dst[di+1] = byte(px >> 8)
-				dst[di+2] = byte(px)
-				di += 3
-			}
-			x += n
+		for x := 0; x < im.w; x += tileSize {
+			enc.Span(im.tiles[base+x>>tileShift].px[off : off+min(im.w-x, tileSize)])
 		}
+		enc.EndRow()
 	}
 }
 

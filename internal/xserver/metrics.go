@@ -28,7 +28,7 @@ type serverMetrics struct {
 	// Render pipeline: clean→dirty tile transitions, slab clones forced
 	// by writes to shared tiles, tiles aliased into snapshots, fills fanned
 	// out to the worker pool; then per-primitive service times (the
-	// screenshot's is compose + pack, outside treeMu).
+	// screenshot's is compose + encode, outside treeMu).
 	tilesDamaged, tilesCOW, tilesSnapshot, parallelFills *obs.Counter
 	fill, copyArea, text, screenshot                     *obs.Histogram
 }
