@@ -18,8 +18,11 @@ vet:
 	$(GO) vet ./...
 
 # test runs every package under the race detector, count gates
-# included: pipelined segments (internal/xserver/latency_test.go), wire
-# v2 bytes and segments (internal/xclient/wire_test.go), span sampling
+# included: pipelined segments (internal/xserver/latency_test.go), the
+# toolkit's flush points — 2 wire segments per keystroke, 7 per
+# keystroke with a send, none for an empty update idletasks
+# (internal/core/flush_test.go) — wire v2 bytes and segments
+# (internal/xclient/wire_test.go), span sampling
 # cost (spans_test.go), reply-path allocations
 # (internal/xserver/metrics_test.go) and the 1,000-session farm
 # (internal/xserver/farm_test.go). Its second leg runs the three paired
@@ -50,7 +53,10 @@ tkcheck:
 # (internal/xproto/screenshot_test.go); FuzzEval runs arbitrary
 # scripts through Interp.Eval, expr included, and checks that nesting
 # past the interpreter's depth limit is a Tcl error, not a crash
-# (internal/tcl/fuzz_test.go); FuzzCanvasDamage runs arbitrary item
+# (internal/tcl/fuzz_test.go) — nested substitutions and parentheses
+# cost work linear in their depth, so its 5 s leg runs 2,000–4,000
+# inputs on a 2-CPU host (tens to hundreds when they were quadratic);
+# FuzzCanvasDamage runs arbitrary item
 # command sequences and checks every partial redraw against a full one
 # (internal/widget/canvas_damage_test.go).
 fuzz-smoke:

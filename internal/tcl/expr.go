@@ -192,30 +192,13 @@ func (e *exprParser) scanVarRef() error {
 
 // scanBracket advances past a [command] without evaluating it.
 func (e *exprParser) scanBracket() error {
-	depth := 0
-	for e.pos < len(e.src) {
-		switch e.src[e.pos] {
-		case '\\':
-			e.pos++
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth == 0 {
-				e.pos++
-				return nil
-			}
-		case '{':
-			j, err := skipBraces(e.src, e.pos)
-			if err != nil {
-				return err
-			}
-			e.pos = j
-			continue
-		}
-		e.pos++
+	var c closes
+	end, err := c.match(e.src, e.pos)
+	if err != nil {
+		return err
 	}
-	return errf("missing close-bracket")
+	e.pos = end + 1
+	return nil
 }
 
 func (e *exprParser) eof() bool { return e.pos >= len(e.src) }
@@ -321,7 +304,7 @@ func (e *exprParser) parseTernary() (exprVal, error) {
 	return right, nil
 }
 
-// binOp describes a binary operator's precedence level.
+// binLevels lists the binary operators by precedence, loosest first.
 var binLevels = [][]string{
 	{"||"},
 	{"&&"},
@@ -335,24 +318,34 @@ var binLevels = [][]string{
 	{"*", "/", "%"},
 }
 
-func (e *exprParser) parseBinary(level int) (exprVal, error) {
-	if level >= len(binLevels) {
-		return e.parseUnary()
+// binLevel returns op's index in binLevels, or -1 when op is not a
+// binary operator.
+func binLevel(op string) int {
+	for level, ops := range binLevels {
+		for _, cand := range ops {
+			if op == cand {
+				return level
+			}
+		}
 	}
-	left, err := e.parseBinary(level + 1)
+	return -1
+}
+
+// parseBinary parses operands joined by binary operators of precedence
+// minLevel or tighter, by precedence climbing: each operator's right
+// operand is parsed at the next tighter level, so operators of equal
+// precedence associate to the left. An operand costs one call, not
+// one per precedence level, which keeps deeply parenthesized
+// expressions shallow on the Go stack.
+func (e *exprParser) parseBinary(minLevel int) (exprVal, error) {
+	left, err := e.parseUnary()
 	if err != nil {
 		return exprVal{}, err
 	}
 	for {
 		op := e.peekOp()
-		found := false
-		for _, cand := range binLevels[level] {
-			if op == cand {
-				found = true
-				break
-			}
-		}
-		if !found {
+		level := binLevel(op)
+		if level < minLevel {
 			return left, nil
 		}
 		e.takeOp(op)

@@ -37,6 +37,12 @@ func TestExprArithmetic(t *testing.T) {
 	exprOK(t, in, "- -5", "5")
 	exprOK(t, in, "2+3*4", "14")
 	exprOK(t, in, "(2+3)*4", "20")
+	exprOK(t, in, "2 - 1 - 1", "0") // left associative
+	exprOK(t, in, "8/2/2", "2")
+	exprOK(t, in, "1 + 2 * 3 - 4 / 2 % 3", "5")
+	exprOK(t, in, "1 << 2 + 1", "8")
+	exprOK(t, in, "1 | 2 ^ 3 & 6", "1")
+	exprOK(t, in, "1 < 2 == 1 && 0 || 1", "1")
 	exprOK(t, in, "7.0/2", "3.5")
 	exprOK(t, in, "1e2", "100.0")
 	exprOK(t, in, "0x10", "16")

@@ -10,6 +10,9 @@ import (
 type parser struct {
 	src string
 	pos int
+	// closes is shared by the parsers of nested command substitutions
+	// over one source string (see closes.match).
+	closes closes
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -311,62 +314,77 @@ func isVarNameChar(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// parseCommandSubst handles [script] starting at '['. The bracketed text
-// is located by bracket matching (skipping braces, quotes and
-// backslashes) and evaluated recursively.
+// parseCommandSubst handles [script] starting at '['. The close bracket
+// is found before any of the script runs, and the script is then
+// evaluated in place: a parser over the same source string, cut off at
+// the close bracket, so positions, and what p.closes has recorded
+// about them, stay valid at every level of nesting.
 func (p *parser) parseCommandSubst(in *Interp) (string, error) {
 	open := p.pos
-	p.pos++ // consume '['
-	depth := 1
-	i := p.pos
-	for i < len(p.src) {
-		switch p.src[i] {
-		case '\\':
-			i += 2
-			continue
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth == 0 {
-				script := p.src[p.pos:i]
-				p.pos = i + 1
-				return in.Eval(script)
-			}
-		case '{':
-			j, err := skipBraces(p.src, i)
-			if err != nil {
-				return "", err
-			}
-			i = j
-			continue
-		}
-		i++
+	end, err := p.closes.match(p.src, open)
+	if err != nil {
+		return "", err
 	}
-	p.pos = open
-	return "", errf("missing close-bracket")
+	sub := &parser{src: p.src[:end], pos: open + 1, closes: p.closes}
+	p.pos = end + 1
+	res, err := in.eval(sub)
+	p.closes = sub.closes // keep a record the nested parser started
+	return res, err
 }
 
-// skipBraces returns the index just past the brace group opening at
-// src[i] == '{'.
-func skipBraces(src string, i int) (int, error) {
-	depth := 0
-	for i < len(src) {
-		switch src[i] {
-		case '\\':
-			i += 2
+// closes records, for one source string, where brackets and braces
+// close: position of a '[' or '{' to position of its ']' or '}'.
+type closes map[int]int
+
+// match returns the index of the ']' closing the command substitution
+// that opens at src[open]. Backslashes and brace groups hide brackets;
+// quotes do not. The scan records the close of every bracket nested
+// inside, and of every brace group below the first level, and jumps
+// over any whose close is already recorded. So a chain of nested
+// substitutions, each of which matches its own bracket before its
+// script runs, costs one scan of the source rather than one per level;
+// a bracket hidden in a brace group and matched afresh stays inside
+// that group, where every brace it meets is recorded. A recorded close
+// depends only on the text from its opening to it, so it holds in any
+// view src[:n] that still contains it.
+func (c *closes) match(src string, open int) (int, error) {
+	if end, ok := (*c)[open]; ok && end < len(src) {
+		return end, nil
+	}
+	var buf [16]int
+	stack := append(buf[:0], open)
+	for i := open + 1; i < len(src); i++ {
+		ch := src[i]
+		if ch == '\\' {
+			i++
 			continue
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth == 0 {
-				return i + 1, nil
+		}
+		inBraces := src[stack[len(stack)-1]] == '{'
+		switch {
+		case ch == '{' || ch == '[' && !inBraces:
+			if end, ok := (*c)[i]; ok && end < len(src) {
+				i = end
+				continue
+			}
+			stack = append(stack, i)
+		case ch == '}' && inBraces || ch == ']' && !inBraces:
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if len(stack) == 0 {
+				return i, nil
+			}
+			if ch == ']' || len(stack) > 1 {
+				if *c == nil {
+					*c = make(closes)
+				}
+				(*c)[top] = i
 			}
 		}
-		i++
 	}
-	return 0, errf("missing close-brace")
+	if src[stack[len(stack)-1]] == '{' {
+		return 0, errf("missing close-brace")
+	}
+	return 0, errf("missing close-bracket")
 }
 
 // parseBackslash consumes one backslash sequence and returns its

@@ -47,6 +47,65 @@ func TestExprNeverPanics(t *testing.T) {
 	}
 }
 
+// TestCommandSubstMatching pins how a command substitution finds its
+// close bracket: backslashes and braces hide brackets, quotes do not,
+// and a bracket hidden from an enclosing substitution by braces is
+// matched afresh when a bare word substitutes it.
+func TestCommandSubstMatching(t *testing.T) {
+	for _, tc := range []struct{ script, want, err string }{
+		{`set x [set y {a]b}]`, "a]b", ""},
+		{`set x [set y a\]b]`, "a]b", ""},
+		{`set x [set y "a]b"]`, "", `missing "`},
+		{`set x [set y "a[set z b]c"]`, "abc", ""},
+		{`set x [set y a{b[set z 1]}]`, "a{b1}", ""},
+		{`set x [set y a{[b}]`, "", "missing close-bracket"},
+		{`set x [set y a{b}c[set z {d[}]]`, "a{b}cd[", ""},
+		{`set x [set y {[}][set z {]}]`, "[]", ""},
+		{`set x [list [list a [list b c]] d]`, "{a {b c}} d", ""},
+		{`set x [[set y list] a [set z b]]`, "a b", ""},
+		{`set x [set y \\]`, `\`, ""},
+		{`set x [set y a\`, "", "missing close-bracket"},
+		{`set x [set y {a]`, "", "missing close-brace"},
+		{`set x [set y [set z 1]`, "", "missing close-bracket"},
+		{"set x [set a 1\nset b 2]", "2", ""},
+		{`set x []`, "", ""},
+		{`expr {0 && [error {b]oom}]}`, "0", ""},
+		{`expr {1 || [error {x}`, "", "missing close-brace"},
+		{`expr {1 || [error [x]}`, "", "missing close-bracket"},
+	} {
+		got, err := New().Eval(tc.script)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: got %q, err %v; want error %q", tc.script, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: got %q, err %v; want %q", tc.script, got, err, tc.want)
+		}
+	}
+}
+
+// TestDeepCommandSubst checks substitution nested to the interpreter's
+// depth limit, straight and with each level's bracket behind a brace in
+// a bare word, and one level past the limit.
+func TestDeepCommandSubst(t *testing.T) {
+	in := New()
+	d := in.maxNesting - 1
+	if got, err := in.Eval(strings.Repeat("[", d) + "set x 7" + strings.Repeat("]", d)); err == nil || !strings.Contains(err.Error(), `invalid command name "7"`) {
+		t.Errorf("%d nested brackets: got %q, err %v", d, got, err)
+	}
+	if got, err := in.Eval("set y " + strings.Repeat("[set z a{", d) + strings.Repeat("}]", d)); err != nil || got != strings.Repeat("a{", d)+strings.Repeat("}", d) {
+		t.Errorf("%d brace-hidden brackets: got %.20q..., err %v", d, got, err)
+	}
+	if _, err := in.Eval(strings.Repeat("[", d+2) + "set x 7" + strings.Repeat("]", d+2)); err == nil || !strings.Contains(err.Error(), "too many nested calls") {
+		t.Errorf("%d nested brackets: err %v, want a nesting error", d+2, err)
+	}
+	if in.nesting != 0 {
+		t.Fatalf("nesting depth %d after the errors, want 0", in.nesting)
+	}
+}
+
 // TestUnterminatedConstructs all produce errors, not hangs.
 func TestUnterminatedConstructs(t *testing.T) {
 	in := New()

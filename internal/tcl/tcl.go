@@ -226,6 +226,13 @@ func (in *Interp) global() *frame { return in.frames[0] }
 // command executed. Control-flow signals (break/continue/return at top
 // level) surface as *Error values with the corresponding Code.
 func (in *Interp) Eval(script string) (string, error) {
+	return in.eval(&parser{src: script})
+}
+
+// eval executes the commands from p's position to the end of its
+// source: a whole script for Eval, a bracketed one for command
+// substitution.
+func (in *Interp) eval(p *parser) (string, error) {
 	if in.deleted {
 		return "", errf("attempt to use deleted interpreter")
 	}
@@ -235,7 +242,6 @@ func (in *Interp) Eval(script string) (string, error) {
 		return "", errf("too many nested calls to Tcl interpreter (infinite loop?)")
 	}
 
-	p := &parser{src: script}
 	result := ""
 	for {
 		words, ok, err := p.nextCommand(in)

@@ -140,7 +140,8 @@ func (app *App) runIdle() bool {
 // DoOneEvent processes one round of events. With wait=false it returns
 // immediately when nothing is pending. It reports whether any work was
 // done. It flushes buffered requests at entry, so whatever the caller
-// issued is on the wire before the step runs or blocks.
+// issued, including requests an UpdateIdleTasks with nothing to run
+// left buffered, is on the wire before the step runs or blocks.
 func (app *App) DoOneEvent(wait bool) bool {
 	app.Disp.Flush()
 	return app.doOneEvent(wait)
@@ -290,11 +291,19 @@ func (app *App) Update() {
 }
 
 // UpdateIdleTasks runs only the idle queue (update idletasks): display
-// refresh without processing input.
+// refresh without processing input. It flushes only when an idle
+// handler ran, so redisplay output reaches the server at once; with the
+// queue empty it does no I/O, and whatever the caller buffered rides to
+// the server on the next flush point (Sync, a round trip, DoOneEvent or
+// Update) instead of costing a wire segment of its own.
 func (app *App) UpdateIdleTasks() {
+	ran := false
 	for app.runIdle() {
+		ran = true
 	}
-	app.Disp.Flush()
+	if ran {
+		app.Disp.Flush()
+	}
 }
 
 // DispatchEvent routes one X event: structure bookkeeping, C-level
